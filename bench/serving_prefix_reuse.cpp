@@ -49,7 +49,6 @@ struct RunOutcome {
   std::map<TurnKey, TurnRecord> turns;
   double wall_ms = 0.0;
   serve::EngineStats eng;
-  serve::SchedulerStats sched;
 };
 
 RunOutcome run_chat(const bench::ChatWorkloadConfig& wl, bool cache_on) {
@@ -108,7 +107,6 @@ RunOutcome run_chat(const bench::ChatWorkloadConfig& wl, bool cache_on) {
   }
   out.wall_ms = times.back() / 1000.0;
   out.eng = engine.stats();
-  out.sched = sched.scheduler_stats();
   return out;
 }
 
@@ -182,7 +180,7 @@ int main(int argc, char** argv) {
              26, 12);
   std::printf("\ncache-on: %zu/%zu requests hit, %zu prompt tokens served "
               "from cache, %zu COW copies, %zu evictions\n",
-              on.sched.prefix_hits, total, on.eng.prefix_tokens_reused,
+              on.eng.prefix_hits, total, on.eng.prefix_tokens_reused,
               on.eng.prefix_cow_copies, on.eng.prefix_evictions);
   std::printf("shared-prefix traffic: %.0f%% of requests are follow-up "
               "turns\noutputs bit-identical cache on vs off: yes\n",
@@ -208,7 +206,7 @@ int main(int argc, char** argv) {
       wl.users, wl.turns_per_user, wl.system_prompt_tokens,
       wl.turn_prompt_tokens, wl.reply_tokens, shared_fraction, cold_off,
       hit_off, off.wall_ms, cold_on, hit_on, on.wall_ms,
-      on.sched.prefix_hits, on.eng.prefix_tokens_reused,
+      on.eng.prefix_hits, on.eng.prefix_tokens_reused,
       on.eng.prefix_cow_copies, on.eng.prefix_evictions,
       hit_on > 0 ? hit_off / hit_on : 0.0);
   std::printf("\n%s", json);

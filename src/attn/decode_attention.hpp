@@ -30,6 +30,10 @@ struct DecodeWorkStats {
   /// bit-identical across decode thread counts.
   std::size_t dense_route_steps = 0;
   std::size_t sparse_route_steps = 0;
+  /// Dense-head page selections computed vs reused from the
+  /// ReusableSelector cache (filled by fused_sparse_decode).
+  std::size_t selector_runs = 0;
+  std::size_t selector_reuses = 0;
 };
 
 /// Sparse decode for one head.

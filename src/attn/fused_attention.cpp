@@ -17,48 +17,6 @@ float resolve_scale(float scale, std::size_t head_dim) {
 
 }  // namespace
 
-void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v,
-                          std::span<const kv::HeadKind> kv_head_kinds,
-                          std::size_t head_dim, const FusedPrefillConfig& cfg,
-                          num::MatView out) {
-  const std::size_t n = q.rows;
-  const std::size_t q_heads = q.cols / head_dim;
-  const std::size_t kv_heads = kv_head_kinds.size();
-  assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
-  const std::size_t group = q_heads / kv_heads;
-  const float scale = resolve_scale(cfg.scale, head_dim);
-
-  // Masks are shared within a kv group; dynamic masks additionally depend
-  // on the query head, so they are built per query head below.
-  BlockMask causal =
-      BlockMask::causal(n, cfg.tiling.tile_q, cfg.tiling.tile_k);
-  causal.finalize();
-  BlockMask lambda = BlockMask::streaming(n, cfg.tiling.tile_q,
-                                          cfg.tiling.tile_k,
-                                          cfg.streaming.sink_blocks,
-                                          cfg.streaming.local_blocks);
-  lambda.finalize();
-
-  for (std::size_t h = 0; h < q_heads; ++h) {
-    const std::size_t kvh = h / group;
-    const num::ConstMatView qh = q.cols_slice(h * head_dim, head_dim);
-    const num::ConstMatView kh = k.cols_slice(kvh * head_dim, head_dim);
-    const num::ConstMatView vh = v.cols_slice(kvh * head_dim, head_dim);
-    num::MatView oh = out.cols_slice(h * head_dim, head_dim);
-
-    if (kv_head_kinds[kvh] == kv::HeadKind::kStreaming) {
-      block_sparse_prefill(qh, kh, vh, lambda, cfg.tiling, scale, oh);
-    } else if (cfg.dynamic_dense) {
-      const BlockMask dyn = sparse::build_dynamic_prefill_mask(
-          qh, kh, cfg.tiling, cfg.dynamic_cfg, scale);
-      block_sparse_prefill(qh, kh, vh, dyn, cfg.tiling, scale, oh);
-    } else {
-      block_sparse_prefill(qh, kh, vh, causal, cfg.tiling, scale, oh);
-    }
-  }
-}
-
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,
                            const kv::TwoWayKvCache& cache, std::size_t layer,
@@ -70,9 +28,7 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
   const std::size_t kv_heads = cache.kv_heads();
   assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
   const std::size_t group = q_heads / kv_heads;
-  const float scale = cfg.scale != 0.0f
-                          ? cfg.scale
-                          : 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const float scale = resolve_scale(cfg.scale, head_dim);
 
   BlockMask causal =
       BlockMask::causal(n, cfg.tiling.tile_q, cfg.tiling.tile_k);
@@ -159,7 +115,9 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
                     q_heads.row(kvh * group_size + g), group_q.data(),
                     head_dim);
         }
+        bool ran = false;
         auto recompute = [&]() {
+          ran = true;
           return cfg.hierarchical
                      ? sparse::select_pages_hierarchical(
                            dense_alloc, head, group_q.data(), cfg.selector)
@@ -171,6 +129,9 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
           table = selector->get(slot, step, recompute);
         } else {
           table = recompute();
+        }
+        if (stats != nullptr) {
+          ++(ran ? stats->selector_runs : stats->selector_reuses);
         }
       }
     }

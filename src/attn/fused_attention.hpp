@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/chunked_prefill.hpp"
@@ -50,15 +49,6 @@ struct FusedDecodeConfig {
   sparse::PageSelectorConfig selector;
 };
 
-/// Fused prefill over all heads of one layer.
-/// q: [n x (q_heads*head_dim)], k/v: [n x (kv_heads*head_dim)],
-/// kinds: one HeadKind per kv head; out: [n x (q_heads*head_dim)].
-void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v,
-                          std::span<const kv::HeadKind> kv_head_kinds,
-                          std::size_t head_dim, const FusedPrefillConfig& cfg,
-                          num::MatView out);
-
 /// Fused CHUNKED prefill over all heads of one layer. Called AFTER the
 /// chunk's KV write-back (TwoWayKvCache::append_roundtrip, with streaming
 /// eviction deferred): per-head token counts minus the chunk length give
@@ -70,7 +60,7 @@ void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
 /// coordinates against cfg.total_tokens. Together these make prefill
 /// invariant to the chunk/attach schedule for causal dense and streaming
 /// heads (dynamic_dense masks remain chunk-local, hence schedule-
-/// dependent). With an empty history this equals fused_sparse_prefill.
+/// dependent). With an empty history this is the whole-prompt prefill.
 /// q: [n x q_heads*head_dim], k/v: [n x kv_heads*head_dim] for the CHUNK.
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,

@@ -255,9 +255,9 @@ void PageAllocator::promote_slot(PageId id, ColdSlotId slot,
     // Publish hot + pinned atomically so a concurrent spill can never
     // pick this page between promotion and the pin.
     ++pins_[id];
-    ++pin_promotions_;
+    tier_counters_->pin_promotions.inc();
   } else {
-    ++prefetch_promotions_;
+    tier_counters_->prefetch_promotions.inc();
   }
   tier_cv_.notify_all();
 }
@@ -314,7 +314,7 @@ void PageAllocator::enforce_hot_budget(PageId protect) const {
     --hot_in_use_;
     ++cold_in_use_;
     cold_count_.store(cold_in_use_, std::memory_order_relaxed);
-    ++demotions_;
+    tier_counters_->demotions.inc();
     tier_cv_.notify_all();
   }
 }
@@ -335,24 +335,7 @@ void PageAllocator::prefetch(std::span<const PageId> ids) const {
   // Fast-out without the lock when nothing is cold: a fully-hot working
   // set pays a relaxed load, not a tier_mu_ round-trip per decode step.
   if (cold_count_.load(std::memory_order_relaxed) == 0) return;
-  if (!tier_.async_prefetch) {
-    // Synchronous mode (tests): promote the cold ids inline.
-    for (const PageId id : ids) {
-      ColdSlotId slot = kInvalidColdSlot;
-      {
-        MutexLock lock(tier_mu_);
-        if (id >= tier_state_.size() || !tier_live_[id]) continue;
-        if (tier_state_[id] != TierState::kCold) continue;
-        tier_state_[id] = TierState::kPromoting;
-        slot = cold_slot_[id];
-        ++prefetch_requests_;
-      }
-      promote_slot(id, slot, /*pin_after=*/false);
-      enforce_hot_budget(id);
-    }
-    return;
-  }
-  bool notify = false;
+  bool queued = false;
   {
     MutexLock lock(tier_mu_);
     for (const PageId id : ids) {
@@ -360,11 +343,18 @@ void PageAllocator::prefetch(std::span<const PageId> ids) const {
       if (tier_state_[id] != TierState::kCold || queued_[id]) continue;
       queued_[id] = 1;
       prefetch_queue_.push_back(id);
-      ++prefetch_requests_;
-      notify = true;
+      tier_counters_->prefetch_requests.inc();
+      queued = true;
     }
   }
-  if (notify) tier_cv_.notify_all();
+  if (!queued) return;
+  if (tier_.async_prefetch) {
+    tier_cv_.notify_all();
+    return;
+  }
+  // Synchronous mode (tests): promote the queued pages inline.
+  while (promote_next_queued()) {
+  }
 }
 
 void PageAllocator::prefetch(std::span<const SelectedPage> table) const {
@@ -376,25 +366,34 @@ void PageAllocator::prefetch(std::span<const SelectedPage> table) const {
   prefetch(std::span<const PageId>(ids));
 }
 
+bool PageAllocator::promote_next_queued() const {
+  PageId id = kInvalidPage;
+  ColdSlotId slot = kInvalidColdSlot;
+  {
+    MutexLock lock(tier_mu_);
+    if (prefetch_queue_.empty()) return false;
+    id = prefetch_queue_.front();
+    prefetch_queue_.pop_front();
+    queued_[id] = 0;
+    // The page may have been promoted by a pin miss, released, or
+    // reallocated since it was queued; only a still-cold page is ours.
+    if (!tier_live_[id] || tier_state_[id] != TierState::kCold) return true;
+    tier_state_[id] = TierState::kPromoting;
+    slot = cold_slot_[id];
+  }
+  promote_slot(id, slot, /*pin_after=*/false);
+  enforce_hot_budget(id);
+  return true;
+}
+
 void PageAllocator::prefetch_loop() {
   for (;;) {
-    PageId id = kInvalidPage;
-    ColdSlotId slot = kInvalidColdSlot;
     {
       MutexLock lock(tier_mu_);
       while (!tier_stop_ && prefetch_queue_.empty()) tier_cv_.wait(tier_mu_);
       if (tier_stop_) return;
-      id = prefetch_queue_.front();
-      prefetch_queue_.pop_front();
-      queued_[id] = 0;
-      // The page may have been promoted by a pin miss, released, or
-      // reallocated since it was queued; only a still-cold page is ours.
-      if (!tier_live_[id] || tier_state_[id] != TierState::kCold) continue;
-      tier_state_[id] = TierState::kPromoting;
-      slot = cold_slot_[id];
     }
-    promote_slot(id, slot, /*pin_after=*/false);
-    enforce_hot_budget(id);
+    promote_next_queued();
   }
 }
 
@@ -405,12 +404,34 @@ TierStats PageAllocator::tier_stats() const noexcept {
   s.hot_in_use = hot_in_use_;
   s.cold_in_use = cold_in_use_;
   s.cold_bytes_in_use = cold_in_use_ * cold_store_->slot_bytes();
-  s.demotions = demotions_;
-  s.prefetch_requests = prefetch_requests_;
-  s.prefetch_promotions = prefetch_promotions_;
-  s.pin_promotions = pin_promotions_;
-  s.promotions = prefetch_promotions_ + pin_promotions_;
+  s.demotions = tier_counters_->demotions.value();
+  s.prefetch_requests = tier_counters_->prefetch_requests.value();
+  s.prefetch_promotions = tier_counters_->prefetch_promotions.value();
+  s.pin_promotions = tier_counters_->pin_promotions.value();
+  s.promotions = s.prefetch_promotions + s.pin_promotions;
   return s;
+}
+
+void PageAllocator::expose_tier_counters(
+    obs::MetricsRegistry& registry) const {
+  const TierCounters& c = *tier_counters_;
+  const auto expose = [&](const char* name, const char* help,
+                          const obs::Counter& counter) {
+    registry.expose(name, help, {tier_counters_, &counter});
+  };
+  expose("lserve_tier_demotions_total",
+         "Pages serialized out of the hot pool into the cold tier.",
+         c.demotions);
+  expose("lserve_tier_pin_promotions_total",
+         "Cold pages promoted synchronously on a pin miss (prefetch "
+         "missed).",
+         c.pin_promotions);
+  expose("lserve_tier_prefetch_promotions_total",
+         "Cold pages promoted by the prefetcher before any pin needed them.",
+         c.prefetch_promotions);
+  expose("lserve_tier_prefetch_requests_total",
+         "Cold pages enqueued for asynchronous promotion.",
+         c.prefetch_requests);
 }
 
 // ---------------------------------------------------------------------------

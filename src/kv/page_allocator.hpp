@@ -62,6 +62,7 @@
 #include "kv/page.hpp"
 #include "kv/page_auditor.hpp"
 #include "kv/page_table.hpp"
+#include "obs/metrics.hpp"
 #include "serve/thread_annotations.hpp"
 
 namespace lserve::kv {
@@ -265,9 +266,10 @@ class PageAllocator {
   void prefetch(std::span<const SelectedPage> table) const;
 
   bool tiered() const noexcept { return tier_.enabled(); }
-  const TierConfig& tier_config() const noexcept { return tier_; }
   /// Tier telemetry snapshot (zeros when tiering is off). Thread-safe.
   TierStats tier_stats() const noexcept;
+  /// Exposes the tier counters on `registry` as lserve_tier_*_total.
+  void expose_tier_counters(obs::MetricsRegistry& registry) const;
 
   const PageConfig& config() const noexcept { return cfg_; }
   std::size_t capacity() const noexcept;
@@ -374,6 +376,9 @@ class PageAllocator {
   /// Reclaims tier state on final release: waits out in-flight
   /// transitions and frees the cold slot of a spilled page.
   void tier_on_release(PageId id) noexcept;
+  /// Pops one queued page and promotes it if it is still cold. Returns
+  /// false when the queue was empty.
+  bool promote_next_queued() const;
   /// Background promote loop (runs when tiered + async_prefetch).
   void prefetch_loop();
 
@@ -418,10 +423,15 @@ class PageAllocator {
   /// Cold store hit its byte cap; spilling pauses until a slot frees.
   mutable bool cold_full_ GUARDED_BY(tier_mu_) = false;
   mutable bool tier_stop_ GUARDED_BY(tier_mu_) = false;
-  mutable std::uint64_t demotions_ GUARDED_BY(tier_mu_) = 0;
-  mutable std::uint64_t prefetch_requests_ GUARDED_BY(tier_mu_) = 0;
-  mutable std::uint64_t prefetch_promotions_ GUARDED_BY(tier_mu_) = 0;
-  mutable std::uint64_t pin_promotions_ GUARDED_BY(tier_mu_) = 0;
+  /// Cumulative tier transitions; atomic, so read without tier_mu_.
+  struct TierCounters {
+    obs::Counter demotions;
+    obs::Counter prefetch_requests;
+    obs::Counter prefetch_promotions;
+    obs::Counter pin_promotions;
+  };
+  const std::shared_ptr<TierCounters> tier_counters_ =
+      std::make_shared<TierCounters>();
   mutable std::unique_ptr<ColdStore> cold_store_;  ///< null when untiered.
   std::thread prefetch_thread_;  ///< joined in the destructor.
 

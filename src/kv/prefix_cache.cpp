@@ -6,9 +6,11 @@
 namespace lserve::kv {
 
 PrefixCache::PrefixCache(PageAllocator& dense, PageAllocator& stream,
-                         PrefixCacheConfig cfg)
+                         PrefixCacheConfig cfg,
+                         PrefixCacheCounters& counters)
     : dense_(dense),
       stream_(stream),
+      counters_(counters),
       cfg_(std::move(cfg)),
       page_size_(dense.config().page_size),
       slots_(cfg_.layers * cfg_.kv_heads),
@@ -104,7 +106,7 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
   const Match m = match_locked(prompt, max_tokens);
   const std::size_t depth = best_depth_locked(m);
   if (depth == 0) {
-    ++stats_.misses;
+    counters_.misses.inc();
     return 0;
   }
   ++clock_;
@@ -120,7 +122,7 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
     const PageId id = alloc.allocate();
     const PagePin src_pin = alloc.pin(src);
     alloc.pin_mut(id).page().copy_prefix_from(src_pin.page(), tail);
-    ++stats_.cow_copies;
+    counters_.cow_copies.inc();
     return id;
   };
 
@@ -168,8 +170,8 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
     }
   }
   cache.note_attached_tokens(depth);
-  ++stats_.hits;
-  stats_.tokens_reused += depth;
+  counters_.hits.inc();
+  counters_.tokens_reused.inc(depth);
   return depth;
 }
 
@@ -394,7 +396,7 @@ std::size_t PrefixCache::evict_leaf_locked(Node* leaf) {
     }
   }
   --nodes_;
-  ++stats_.evictions;
+  counters_.evictions.inc();
   return freed;
 }
 
@@ -444,8 +446,13 @@ std::size_t PrefixCache::pages_held() const {
 }
 
 PrefixCacheStats PrefixCache::stats() const {
+  PrefixCacheStats s;
+  s.hits = counters_.hits.value();
+  s.misses = counters_.misses.value();
+  s.tokens_reused = counters_.tokens_reused.value();
+  s.cow_copies = counters_.cow_copies.value();
+  s.evictions = counters_.evictions.value();
   MutexLock lock(mu_);
-  PrefixCacheStats s = stats_;
   s.nodes = nodes_;
   s.pages_held = pages_held_;
   return s;

@@ -39,6 +39,7 @@
 
 #include "kv/page_allocator.hpp"
 #include "kv/two_way_cache.hpp"
+#include "obs/metrics.hpp"
 #include "serve/thread_annotations.hpp"
 
 namespace lserve::kv {
@@ -55,24 +56,35 @@ struct PrefixCacheConfig {
   std::size_t max_pages = 0;
 };
 
-/// Cumulative cache telemetry (mirrored into EngineStats).
+/// Cumulative cache counters. The cache counts into its owner's set, so
+/// the totals survive a rebuild when the head partition changes.
+struct PrefixCacheCounters {
+  obs::Counter hits;           ///< attaches that reused >= 1 token.
+  obs::Counter misses;         ///< attaches that reused nothing.
+  obs::Counter tokens_reused;  ///< prompt tokens skipped via attach.
+  obs::Counter cow_copies;     ///< pages copied on write/divergence.
+  obs::Counter evictions;      ///< tree nodes evicted (LRU, reclaim, clear).
+};
+
+/// Snapshot of the counters plus the tree's current size.
 struct PrefixCacheStats {
-  std::size_t hits = 0;            ///< attaches that reused >= 1 token.
-  std::size_t misses = 0;          ///< attaches that reused nothing.
-  std::size_t tokens_reused = 0;   ///< prompt tokens skipped via attach.
-  std::size_t cow_copies = 0;      ///< pages copied on write/divergence.
-  std::size_t evictions = 0;       ///< tree nodes evicted (LRU / reclaim).
-  std::size_t nodes = 0;           ///< current tree nodes.
-  std::size_t pages_held = 0;      ///< page references the tree holds.
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t tokens_reused = 0;
+  std::size_t cow_copies = 0;
+  std::size_t evictions = 0;
+  std::size_t nodes = 0;       ///< current tree nodes.
+  std::size_t pages_held = 0;  ///< page references the tree holds.
 };
 
 /// Token-block radix tree of refcounted KV pages shared across requests.
 class PrefixCache {
  public:
   /// Both allocators must share one page_size. The cache holds references
-  /// into them for its whole lifetime, so it must be destroyed first.
+  /// into them and into `counters` for its whole lifetime, so it must be
+  /// destroyed first.
   PrefixCache(PageAllocator& dense, PageAllocator& stream,
-              PrefixCacheConfig cfg);
+              PrefixCacheConfig cfg, PrefixCacheCounters& counters);
   ~PrefixCache();
 
   PrefixCache(const PrefixCache&) = delete;
@@ -164,6 +176,7 @@ class PrefixCache {
 
   PageAllocator& dense_;
   PageAllocator& stream_;
+  PrefixCacheCounters& counters_;
   const PrefixCacheConfig cfg_;
   const std::size_t page_size_;
   const std::size_t slots_;
@@ -173,7 +186,6 @@ class PrefixCache {
   std::uint64_t clock_ GUARDED_BY(mu_) = 0;
   std::size_t pages_held_ GUARDED_BY(mu_) = 0;
   std::size_t nodes_ GUARDED_BY(mu_) = 0;
-  PrefixCacheStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace lserve::kv

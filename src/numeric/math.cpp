@@ -98,13 +98,6 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 
 OnlineSoftmax::OnlineSoftmax(std::size_t dim) : acc_(dim, 0.0f) {}
 
-void OnlineSoftmax::fold(const float* scores, const float* values,
-                         std::size_t count, std::size_t stride) noexcept {
-  for (std::size_t i = 0; i < count; ++i) {
-    fold_one(scores[i], values + i * stride);
-  }
-}
-
 void OnlineSoftmax::fold_one(float score, const float* value) noexcept {
   if (!started_) {
     started_ = true;

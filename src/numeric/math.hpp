@@ -51,18 +51,14 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 /// Streaming softmax-weighted accumulation state for one query row.
 ///
 /// Maintains the running maximum m, normalizer l and un-normalized output
-/// acc so KV blocks can be folded in any order along the sequential loop:
+/// acc so (score, value) pairs can be folded in any order along the
+/// sequential loop:
 ///
-///   for each block b:   fold(scores_b, values_b)
-///   finish():           out = acc / l
+///   for each (score, value):   fold_one(score, value)
+///   finish():                  out = acc / l
 class OnlineSoftmax {
  public:
   explicit OnlineSoftmax(std::size_t dim);
-
-  /// Folds `count` (score, value-row) pairs into the state.
-  /// `values` holds `count` rows of `dim` floats with stride `stride`.
-  void fold(const float* scores, const float* values, std::size_t count,
-            std::size_t stride) noexcept;
 
   /// Folds a single (score, value-row) pair.
   void fold_one(float score, const float* value) noexcept;

@@ -162,16 +162,42 @@ const MetricsRegistry::Entry* MetricsRegistry::find_locked(
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
   MutexLock lock(mu_);
-  if (Entry* e = find_locked(name, Type::kCounter)) return *e->counter;
+  if (Entry* e = find_locked(name, Type::kCounter)) {
+    if (e->own_counter == nullptr) {
+      throw std::invalid_argument("MetricsRegistry: '" + name +
+                                  "' is exposed by the component that "
+                                  "counts it");
+    }
+    return *e->own_counter;
+  }
   auto entry = std::make_unique<Entry>();
   entry->name = name;
   entry->family = family_of(name);
   entry->help = help;
   entry->type = Type::kCounter;
-  entry->counter = std::make_unique<Counter>();
-  Counter& out = *entry->counter;
+  auto counter = std::make_shared<Counter>();
+  entry->own_counter = counter.get();
+  entry->counter = std::move(counter);
+  Counter& out = *entry->own_counter;
   entries_.push_back(std::move(entry));
   return out;
+}
+
+void MetricsRegistry::expose(const std::string& name, const std::string& help,
+                             std::shared_ptr<const Counter> counter) {
+  MutexLock lock(mu_);
+  if (const Entry* e = find_locked(name, Type::kCounter)) {
+    if (e->counter == counter) return;
+    throw std::invalid_argument("MetricsRegistry: '" + name +
+                                "' already names another counter");
+  }
+  auto entry = std::make_unique<Entry>();
+  entry->name = name;
+  entry->family = family_of(name);
+  entry->help = help;
+  entry->type = Type::kCounter;
+  entry->counter = std::move(counter);
+  entries_.push_back(std::move(entry));
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name,

@@ -139,6 +139,14 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, const std::string& help,
                        std::vector<double> upper_bounds) EXCLUDES(mu_);
 
+  /// Exposes a counter owned and incremented by the component that sees
+  /// the event (scheduler, engine, page allocator) as series `name`. The
+  /// registry shares ownership, so a scrape never reads a freed counter.
+  /// Re-exposing the same object is a no-op; another object under a taken
+  /// name throws std::invalid_argument, as does counter() on this name.
+  void expose(const std::string& name, const std::string& help,
+              std::shared_ptr<const Counter> counter) EXCLUDES(mu_);
+
   /// Lookup without registration; nullptr when absent or of another type.
   /// (The /healthz handler reads occupancy gauges through these, so
   /// liveness and capacity come from the same values /metrics exports.)
@@ -161,7 +169,8 @@ class MetricsRegistry {
     std::string family;  ///< name up to the label suffix.
     std::string help;
     Type type = Type::kCounter;
-    std::unique_ptr<Counter> counter;
+    std::shared_ptr<const Counter> counter;
+    Counter* own_counter = nullptr;  ///< `counter` if created by counter().
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };

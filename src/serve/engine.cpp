@@ -65,9 +65,8 @@ void Engine::rebuild_prefix_cache() {
   pc.kinds = head_kinds_;
   pc.streaming = cfg_.streaming;
   pc.max_pages = cfg_.memory.prefix_cache_pages;
-  prefix_cache_ = std::make_unique<kv::PrefixCache>(dense_alloc_,
-                                                    stream_alloc_,
-                                                    std::move(pc));
+  prefix_cache_ = std::make_unique<kv::PrefixCache>(
+      dense_alloc_, stream_alloc_, std::move(pc), counters_->prefix);
 }
 
 void Engine::recount_head_slots() noexcept {
@@ -144,7 +143,7 @@ std::vector<float> Engine::calibrate_head_kinds() {
 }
 
 SequenceId Engine::create_sequence() {
-  ++stats_.sequences_created;
+  counters_->sequences_created.inc();
   // Reuse a released slot if available.
   for (std::size_t i = 0; i < sequences_.size(); ++i) {
     if (sequences_[i] == nullptr) {
@@ -161,7 +160,7 @@ SequenceId Engine::create_sequence() {
 }
 
 void Engine::release_sequence(SequenceId id) {
-  ++stats_.sequences_released;
+  counters_->sequences_released.inc();
   assert(id < sequences_.size() && sequences_[id] != nullptr);
   const kv::PageAuditScope audit(id, "Engine::release_sequence");
   sequences_[id]->cache.release(dense_alloc_, stream_alloc_);
@@ -242,7 +241,7 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
     tf_.output_project(attn_out.view(), layer, hidden.view());
     tf_.ffn(hidden.view(), layer);
   }
-  stats_.prefill_tokens += n;
+  counters_->prefill_tokens.inc(n);
 }
 
 void Engine::forward_decode(Sequence& seq, num::Tensor& hidden,
@@ -350,17 +349,6 @@ std::int32_t Engine::decode_one(Sequence& seq, std::int32_t token,
   return next;
 }
 
-void Engine::refresh_selector_stats() {
-  stats_.selector_runs = 0;
-  stats_.selector_reuses = 0;
-  for (const auto& s : sequences_) {
-    if (s != nullptr) {
-      stats_.selector_runs += s->selector.selector_runs();
-      stats_.selector_reuses += s->selector.reuses();
-    }
-  }
-}
-
 std::int32_t Engine::decode(SequenceId id, std::int32_t token) {
   return decode_batch(std::span<const SequenceId>(&id, 1),
                       std::span<const std::int32_t>(&token, 1))[0];
@@ -383,16 +371,16 @@ std::vector<std::int32_t> Engine::decode_batch(
   } else {
     for (std::size_t i = 0; i < ids.size(); ++i) run(i);
   }
-  // Merge after the join, in sequence order, so cumulative telemetry is
-  // bit-identical to decoding the batch serially.
+  // Count after the join, so the totals are the same at any thread count.
+  Counters& c = *counters_;
   for (const auto& w : work) {
-    stats_.pages_visited += w.pages_visited;
-    stats_.tokens_visited += w.tokens_visited;
-    stats_.decode_dense_steps += w.dense_route_steps;
-    stats_.decode_sparse_steps += w.sparse_route_steps;
-    ++stats_.decode_steps;
+    c.pages_visited.inc(w.pages_visited);
+    c.tokens_visited.inc(w.tokens_visited);
+    c.decode_dense_steps.inc(w.dense_route_steps);
+    c.decode_sparse_steps.inc(w.sparse_route_steps);
+    c.selector_runs.inc(w.selector_runs);
+    c.selector_reuses.inc(w.selector_reuses);
   }
-  refresh_selector_stats();
   return next;
 }
 
@@ -487,7 +475,6 @@ std::size_t Engine::attach_prefix(SequenceId id,
   const std::size_t attached =
       prefix_cache_->attach(prompt, prompt.size() - 1, seq.cache);
   seq.position = attached;
-  refresh_prefix_stats();
   return attached;
 }
 
@@ -498,29 +485,59 @@ void Engine::insert_prefix(SequenceId id,
   assert(tokens.size() <= seq.cache.tokens());
   const kv::PageAuditScope audit(id, "Engine::insert_prefix");
   prefix_cache_->insert(tokens, seq.cache);
-  refresh_prefix_stats();
 }
 
 std::size_t Engine::reclaim_prefix_pages(std::size_t target_pages) {
   if (prefix_cache_ == nullptr || target_pages == 0) return 0;
   const kv::PageAuditScope audit(kv::kAuditNoOwner,
                                  "Engine::reclaim_prefix_pages");
-  const std::size_t freed = prefix_cache_->reclaim(target_pages);
-  refresh_prefix_stats();
-  return freed;
+  return prefix_cache_->reclaim(target_pages);
 }
 
 std::size_t Engine::prefix_cache_pages_held() const {
   return prefix_cache_ == nullptr ? 0 : prefix_cache_->pages_held();
 }
 
-void Engine::refresh_prefix_stats() {
-  if (prefix_cache_ == nullptr) return;
-  const kv::PrefixCacheStats s = prefix_cache_->stats();
-  stats_.prefix_hits = s.hits;
-  stats_.prefix_tokens_reused = s.tokens_reused;
-  stats_.prefix_cow_copies = s.cow_copies;
-  stats_.prefix_evictions = s.evictions;
+EngineStats Engine::stats() const noexcept {
+  const Counters& c = *counters_;
+  EngineStats s;
+  s.prefill_tokens = c.prefill_tokens.value();
+  s.decode_dense_steps = c.decode_dense_steps.value();
+  s.decode_sparse_steps = c.decode_sparse_steps.value();
+  s.decode_steps = s.decode_dense_steps + s.decode_sparse_steps;
+  s.pages_visited = c.pages_visited.value();
+  s.tokens_visited = c.tokens_visited.value();
+  s.selector_runs = c.selector_runs.value();
+  s.selector_reuses = c.selector_reuses.value();
+  s.sequences_created = c.sequences_created.value();
+  s.sequences_released = c.sequences_released.value();
+  s.prefix_hits = c.prefix.hits.value();
+  s.prefix_tokens_reused = c.prefix.tokens_reused.value();
+  s.prefix_cow_copies = c.prefix.cow_copies.value();
+  s.prefix_evictions = c.prefix.evictions.value();
+  return s;
+}
+
+void Engine::expose_counters(obs::MetricsRegistry& registry) const {
+  const Counters& c = *counters_;
+  const auto expose = [&](const char* name, const char* help,
+                          const obs::Counter& counter) {
+    registry.expose(name, help, {counters_, &counter});
+  };
+  const char* const route =
+      "Per-sequence decode steps routed dense vs. sparse by the attention "
+      "policy.";
+  expose("lserve_decode_route_steps_total{route=\"dense\"}", route,
+         c.decode_dense_steps);
+  expose("lserve_decode_route_steps_total{route=\"sparse\"}", route,
+         c.decode_sparse_steps);
+  expose("lserve_prefix_hits_total",
+         "Admissions that attached a cached prefix from the radix cache.",
+         c.prefix.hits);
+  expose("lserve_prefix_tokens_reused_total",
+         "Prompt tokens skipped at admission via the prefix cache.",
+         c.prefix.tokens_reused);
+  dense_alloc_.expose_tier_counters(registry);
 }
 
 }  // namespace lserve::serve

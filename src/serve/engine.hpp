@@ -19,6 +19,7 @@
 #include "kv/prefix_cache.hpp"
 #include "model/model_config.hpp"
 #include "model/transformer.hpp"
+#include "obs/metrics.hpp"
 #include "serve/attention_policy.hpp"
 #include "serve/sequence.hpp"
 #include "sparse/head_classifier.hpp"
@@ -83,24 +84,26 @@ struct PageDemand {
   std::size_t total() const noexcept { return dense_pages + stream_pages; }
 };
 
-/// Cumulative engine telemetry; also feeds the GPU cost model.
+/// Snapshot of the engine's cumulative counters (Engine::stats()); also
+/// feeds the GPU cost model.
 struct EngineStats {
   std::size_t prefill_tokens = 0;
-  std::size_t decode_steps = 0;
+  std::size_t decode_steps = 0;  ///< decode_dense_steps + decode_sparse_steps.
   /// Attention-policy gating decisions: decode steps routed to full-context
-  /// dense reads vs the configured (sparse-capable) pipeline. They sum to
-  /// decode_steps; with no policy attached every step counts as sparse.
+  /// dense reads vs the configured (sparse-capable) pipeline. With no
+  /// policy attached every step counts as sparse.
   std::size_t decode_dense_steps = 0;
   std::size_t decode_sparse_steps = 0;
   std::size_t pages_visited = 0;   ///< decode attention page iterations.
   std::size_t tokens_visited = 0;  ///< decode attention token iterations.
+  /// Page-selector lookups per (decode step, layer, dense kv head): fresh
+  /// selections vs reuses of the cached one (reuse interval C).
   std::size_t selector_runs = 0;
   std::size_t selector_reuses = 0;
   std::size_t sequences_created = 0;   ///< create_sequence() calls.
   std::size_t sequences_released = 0;  ///< release_sequence() calls — equal
                                        ///< when no sequence is live.
-  /// Prefix-cache counters (mirrored from PrefixCacheStats; all zero when
-  /// the cache is disabled).
+  /// Prefix-cache counters (all zero when the cache is disabled).
   std::size_t prefix_hits = 0;           ///< attaches reusing >= 1 token.
   std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped.
   std::size_t prefix_cow_copies = 0;     ///< copy-on-write page copies.
@@ -177,8 +180,8 @@ class Engine {
   /// With a non-null `pool` the per-sequence forwards run concurrently;
   /// results and stats are bit-identical to the serial path: each sequence
   /// only touches its own state plus the (thread-safe) page allocators,
-  /// and per-call DecodeWorkStats scratch counters are merged into
-  /// EngineStats in sequence order after the join.
+  /// and per-call DecodeWorkStats scratch counters are added to the
+  /// engine's counters after the join.
   ///
   /// Exception contract: if any per-sequence forward throws (page pool
   /// exhausted at its hard cap, allocation failure), the first exception
@@ -194,7 +197,12 @@ class Engine {
                                      std::span<const std::int32_t> prompt,
                                      std::size_t n_tokens);
 
-  const EngineStats& stats() const noexcept { return stats_; }
+  /// Snapshot of the engine's counters. Every field is an atomic read, so
+  /// any thread may take it while another serves.
+  EngineStats stats() const noexcept;
+  /// Exposes the route and prefix counters — and the dense pool's tier
+  /// counters — on `registry` as lserve_*_total series.
+  void expose_counters(obs::MetricsRegistry& registry) const;
   kv::PageAllocator& dense_allocator() noexcept { return dense_alloc_; }
   kv::PageAllocator& stream_allocator() noexcept { return stream_alloc_; }
 
@@ -293,21 +301,15 @@ class Engine {
   /// of row 0.
   void forward_prefill(Sequence& seq, num::Tensor& hidden, std::size_t pos0);
   /// One transformer forward in decode mode, on the given attention
-  /// route. Work counters go to `work`, never to stats_ — callers merge,
-  /// so concurrent decode_one calls on distinct sequences are race-free.
+  /// route. Work counters go to `work`, never to the engine's counters —
+  /// decode_batch adds them after the join.
   void forward_decode(Sequence& seq, num::Tensor& hidden,
                       AttentionRoute route, attn::DecodeWorkStats& work);
 
-  /// Decodes one token for `seq` without touching stats_ (thread-safe for
-  /// distinct sequences).
+  /// Decodes one token for `seq` without touching the engine's counters
+  /// (thread-safe for distinct sequences).
   std::int32_t decode_one(Sequence& seq, std::int32_t token,
                           attn::DecodeWorkStats& work);
-
-  /// Recomputes the selector run/reuse totals from all live sequences.
-  void refresh_selector_stats();
-
-  /// Mirrors PrefixCacheStats into stats_ (no-op when disabled).
-  void refresh_prefix_stats();
 
   /// (Re)builds the prefix cache for the current head partition; any
   /// partition change invalidates every cached page set.
@@ -320,8 +322,24 @@ class Engine {
   /// partition change).
   void recount_head_slots() noexcept;
 
+  /// Cumulative counters, each incremented at one site. Declared before
+  /// the prefix cache, which counts into `prefix`, so they outlive it.
+  struct Counters {
+    obs::Counter prefill_tokens;
+    obs::Counter decode_dense_steps;
+    obs::Counter decode_sparse_steps;
+    obs::Counter pages_visited;
+    obs::Counter tokens_visited;
+    obs::Counter selector_runs;
+    obs::Counter selector_reuses;
+    obs::Counter sequences_created;
+    obs::Counter sequences_released;
+    kv::PrefixCacheCounters prefix;
+  };
+
   EngineConfig cfg_;
   model::Transformer tf_;
+  const std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
   kv::PageAllocator dense_alloc_;
   kv::PageAllocator stream_alloc_;
   /// Declared after the allocators (destroyed first) so its destructor can
@@ -331,7 +349,6 @@ class Engine {
   std::size_t dense_slots_ = 0;   ///< dense entries in head_kinds_.
   std::size_t stream_slots_ = 0;  ///< streaming entries in head_kinds_.
   std::vector<std::unique_ptr<Sequence>> sequences_;
-  EngineStats stats_;
   /// Decode routing policy; null routes every step kSparse (as
   /// configured). Read per decode step from pool workers — treat as
   /// frozen during a decode_batch call.

@@ -71,40 +71,6 @@ void Scheduler::register_metrics() {
   m_.e2e = &r.histogram(
       "lserve_request_e2e_seconds",
       "Wall time from submit() to the terminal result (any status).", lat);
-  m_.submitted = &r.counter("lserve_requests_submitted_total",
-                            "Requests accepted by submit().");
-  m_.finished = &r.counter("lserve_requests_finished_total",
-                           "Requests that produced max_new_tokens.");
-  m_.cancelled = &r.counter("lserve_requests_cancelled_total",
-                            "Requests terminated by cancel().");
-  m_.deadline_exceeded =
-      &r.counter("lserve_requests_deadline_exceeded_total",
-                 "Requests terminated by a step-count deadline.");
-  m_.steps = &r.counter("lserve_scheduler_steps_total",
-                        "Scheduler iterations (Scheduler::step calls).");
-  m_.preemptions =
-      &r.counter("lserve_preemptions_total",
-                 "Sequences released under memory pressure and re-queued.");
-  m_.deferrals = &r.counter(
-      "lserve_admission_deferrals_total",
-      "Steps on which the front request did not fit the page budget.");
-  m_.prefill_chunks = &r.counter("lserve_prefill_chunks_total",
-                                 "Prefill chunks scheduled (at most one "
-                                 "per step).");
-  m_.prefix_hits = &r.counter(
-      "lserve_prefix_hits_total",
-      "Admissions that attached a cached prefix from the radix cache.");
-  m_.prefix_tokens =
-      &r.counter("lserve_prefix_tokens_reused_total",
-                 "Prompt tokens skipped at admission via the prefix cache.");
-  m_.route_dense = &r.counter(
-      "lserve_decode_route_steps_total{route=\"dense\"}",
-      "Per-sequence decode steps routed dense vs. sparse by the attention "
-      "policy.");
-  m_.route_sparse = &r.counter(
-      "lserve_decode_route_steps_total{route=\"sparse\"}",
-      "Per-sequence decode steps routed dense vs. sparse by the attention "
-      "policy.");
   m_.seq_running = &r.gauge("lserve_sequences_running",
                             "Sequences admitted to the batch (prefilling "
                             "or decoding).");
@@ -131,18 +97,32 @@ void Scheduler::register_metrics() {
       "KV pages demoted to the cold spill tier (dense pool).");
   m_.cold_bytes = &r.gauge("lserve_kv_cold_bytes",
                            "Bytes occupied in the cold spill store.");
-  m_.tier_demotions =
-      &r.counter("lserve_tier_demotions_total",
-                 "Pages serialized out of the hot pool into the cold tier.");
-  m_.tier_pin_promotions = &r.counter(
-      "lserve_tier_pin_promotions_total",
-      "Cold pages promoted synchronously on a pin miss (prefetch missed).");
-  m_.tier_prefetch_promotions = &r.counter(
-      "lserve_tier_prefetch_promotions_total",
-      "Cold pages promoted by the prefetcher before any pin needed them.");
-  m_.tier_prefetch_requests =
-      &r.counter("lserve_tier_prefetch_requests_total",
-                 "Cold pages enqueued for asynchronous promotion.");
+  const Counters& c = *counters_;
+  const auto expose = [&](const char* name, const char* help,
+                          const obs::Counter& counter) {
+    r.expose(name, help, {counters_, &counter});
+  };
+  expose("lserve_requests_submitted_total", "Requests accepted by submit().",
+         c.submitted);
+  expose("lserve_requests_finished_total",
+         "Requests that produced max_new_tokens.", c.finished);
+  expose("lserve_requests_cancelled_total",
+         "Requests terminated by cancel().", c.cancelled);
+  expose("lserve_requests_deadline_exceeded_total",
+         "Requests terminated by a step-count deadline.",
+         c.deadline_exceeded);
+  expose("lserve_scheduler_steps_total",
+         "Scheduler iterations (Scheduler::step calls).", c.steps);
+  expose("lserve_preemptions_total",
+         "Sequences released under memory pressure and re-queued.",
+         c.preemptions);
+  expose("lserve_admission_deferrals_total",
+         "Steps on which the front request did not fit the page budget.",
+         c.deferred_admissions);
+  expose("lserve_prefill_chunks_total",
+         "Prefill chunks scheduled (at most one per step).",
+         c.prefill_chunks);
+  engine_.expose_counters(r);
 }
 
 void Scheduler::publish_step_metrics() {
@@ -158,35 +138,23 @@ void Scheduler::publish_step_metrics() {
       static_cast<double>(engine_.prefix_cache_pages_held()));
   m_.pages_hot->set(static_cast<double>(occ.hot_in_use));
   m_.pages_cold->set(static_cast<double>(occ.cold_in_use));
-  const kv::TierStats tier = engine_.tier_stats();
-  m_.cold_bytes->set(static_cast<double>(tier.cold_bytes_in_use));
-  if (tier.demotions > seen_tier_.demotions) {
-    m_.tier_demotions->inc(tier.demotions - seen_tier_.demotions);
-  }
-  if (tier.pin_promotions > seen_tier_.pin_promotions) {
-    m_.tier_pin_promotions->inc(tier.pin_promotions -
-                                seen_tier_.pin_promotions);
-  }
-  if (tier.prefetch_promotions > seen_tier_.prefetch_promotions) {
-    m_.tier_prefetch_promotions->inc(tier.prefetch_promotions -
-                                     seen_tier_.prefetch_promotions);
-  }
-  if (tier.prefetch_requests > seen_tier_.prefetch_requests) {
-    m_.tier_prefetch_requests->inc(tier.prefetch_requests -
-                                   seen_tier_.prefetch_requests);
-  }
-  seen_tier_ = tier;
-  // Route decisions happen inside Engine::decode_batch; mirror the delta
-  // of its cumulative totals into per-route counters once per step.
-  const EngineStats& es = engine_.stats();
-  if (es.decode_dense_steps > seen_dense_steps_) {
-    m_.route_dense->inc(es.decode_dense_steps - seen_dense_steps_);
-    seen_dense_steps_ = es.decode_dense_steps;
-  }
-  if (es.decode_sparse_steps > seen_sparse_steps_) {
-    m_.route_sparse->inc(es.decode_sparse_steps - seen_sparse_steps_);
-    seen_sparse_steps_ = es.decode_sparse_steps;
-  }
+  m_.cold_bytes->set(
+      static_cast<double>(engine_.tier_stats().cold_bytes_in_use));
+}
+
+SchedulerStats Scheduler::scheduler_stats() const noexcept {
+  const Counters& c = *counters_;
+  SchedulerStats s;
+  s.steps = c.steps.value();
+  s.submitted = c.submitted.value();
+  s.admitted = c.admitted.value();
+  s.preemptions = c.preemptions.value();
+  s.deferred_admissions = c.deferred_admissions.value();
+  s.prefill_chunks = c.prefill_chunks.value();
+  s.finished = c.finished.value();
+  s.cancelled = c.cancelled.value();
+  s.deadline_exceeded = c.deadline_exceeded.value();
+  return s;
 }
 
 Scheduler::Scheduler(Engine& engine, std::size_t max_batch,
@@ -228,7 +196,7 @@ std::uint64_t Scheduler::submit(Request req) {
     if (metrics_ != nullptr) pend.submit_ns = now_ns();
     submit_inbox_.push_back(std::move(pend));
   }
-  if (metrics_ != nullptr) m_.submitted->inc();
+  counters_->submitted.inc();
   work_cv_.notify_all();
   return id;
 }
@@ -289,7 +257,7 @@ void Scheduler::drain_inboxes(
     // caller of step() just incremented. Single-threaded callers get the
     // exact pre-inbox semantics; cross-thread callers get a stamp that
     // never races the step counter.
-    pend.submit_step = stats_.steps - 1;
+    pend.submit_step = steps() - 1;
     waiting_.push_back(std::move(pend));
   }
   cancels.swap(cancel_inbox_);
@@ -319,31 +287,21 @@ void Scheduler::finish(Pending pend, std::vector<std::int32_t> output,
   result.preemptions = pend.preemptions;
   result.submit_step = pend.submit_step;
   result.first_token_step = pend.first_token_step;
-  result.finish_step = stats_.steps;
+  result.finish_step = steps();
   result.output = std::move(output);
   switch (status) {
     case RequestStatus::kFinished:
+      counters_->finished.inc();
       break;
     case RequestStatus::kCancelled:
-      ++stats_.cancelled;
+      counters_->cancelled.inc();
       break;
     case RequestStatus::kDeadlineExceeded:
-      ++stats_.deadline_exceeded;
+      counters_->deadline_exceeded.inc();
       break;
   }
   if (metrics_ != nullptr) {
     m_.e2e->observe(static_cast<double>(now_ns() - pend.submit_ns) * 1e-9);
-    switch (status) {
-      case RequestStatus::kFinished:
-        m_.finished->inc();
-        break;
-      case RequestStatus::kCancelled:
-        m_.cancelled->inc();
-        break;
-      case RequestStatus::kDeadlineExceeded:
-        m_.deadline_exceeded->inc();
-        break;
-    }
   }
   const std::uint64_t id = pend.req.request_id;
   results_.push_back(std::move(result));
@@ -423,7 +381,7 @@ void Scheduler::apply_cancellations(
 void Scheduler::enforce_deadlines() {
   for (auto it = waiting_.begin(); it != waiting_.end();) {
     const std::size_t d = effective_deadline(*it);
-    if (d != 0 && stats_.steps - it->submit_step > d) {
+    if (d != 0 && steps() - it->submit_step > d) {
       Pending pend = std::move(*it);
       it = waiting_.erase(it);
       std::vector<std::int32_t> output = std::move(pend.resumed);
@@ -435,7 +393,7 @@ void Scheduler::enforce_deadlines() {
   }
   for (std::size_t i = 0; i < running_.size();) {
     const std::size_t d = effective_deadline(running_[i].pend);
-    if (d != 0 && stats_.steps - running_[i].pend.submit_step > d) {
+    if (d != 0 && steps() - running_[i].pend.submit_step > d) {
       terminate_running(i, RequestStatus::kDeadlineExceeded);
     } else {
       ++i;
@@ -499,8 +457,7 @@ void Scheduler::admit() {
         engine_.reclaim_prefix_pages(deficit);
         if (engine_.hot_pages_in_use() + headroom + need >
             cfg_.memory.page_budget) {
-          ++stats_.deferred_admissions;
-          if (metrics_ != nullptr) m_.deferrals->inc();
+          counters_->deferred_admissions.inc();
           break;
         }
       }
@@ -525,18 +482,10 @@ void Scheduler::admit() {
       attached = engine_.attach_prefix(run.seq, run.pend.feed());
     }
     run.prefill_pos = attached;
-    if (attached > 0) {
-      ++stats_.prefix_hits;
-      stats_.prefix_tokens_reused += attached;
-      if (metrics_ != nullptr) {
-        m_.prefix_hits->inc();
-        m_.prefix_tokens->inc(attached);
-      }
-    }
     engine_.begin_prefill(run.seq, run.pend.feed().size());
     run.phase = SequencePhase::kPrefilling;
     run.admit_order = admit_counter_++;
-    ++stats_.admitted;
+    counters_->admitted.inc();
     running_.push_back(std::move(run));
   }
 }
@@ -563,15 +512,14 @@ void Scheduler::advance_prefill() {
                                           count);
   const std::size_t left = engine_.prefill_chunk(target->seq, ids);
   target->prefill_pos += count;
-  ++stats_.prefill_chunks;
-  if (metrics_ != nullptr) m_.prefill_chunks->inc();
+  counters_->prefill_chunks.inc();
   if (left > 0) return;
 
   const std::int32_t first = engine_.finish_prefill(target->seq);
   target->phase = SequencePhase::kDecoding;
   if (target->pend.resumed.empty()) {
     target->output.push_back(first);
-    target->pend.first_token_step = stats_.steps;
+    target->pend.first_token_step = steps();
     if (metrics_ != nullptr && !target->pend.ttft_recorded) {
       const std::uint64_t now = now_ns();
       m_.ttft->observe(
@@ -604,8 +552,7 @@ void Scheduler::preempt(std::size_t slot) {
 
   Pending pend = std::move(run.pend);
   ++pend.preemptions;
-  ++stats_.preemptions;
-  if (metrics_ != nullptr) m_.preemptions->inc();
+  counters_->preemptions.inc();
   if (run.phase == SequencePhase::kDecoding && !run.output.empty()) {
     // Recompute preemption: replay every token that was fed to the engine
     // (the prompt plus all generated tokens but the last, which had not
@@ -665,15 +612,13 @@ bool Scheduler::step() {
         "Scheduler: a decode batch threw; sequences are mid-step and the "
         "engine cannot keep serving");
   }
-  ++stats_.steps;
+  counters_->steps.inc();
   // Telemetry envelope around the real step body: a fresh trace builder
-  // (inactive when tracing is off), the step counter, gauge publication
-  // after the body, and the trace commit. Nothing in here feeds back into
-  // step_impl()'s decisions — metrics-on and metrics-off drains are
-  // bit-identical.
+  // (inactive when tracing is off), gauge publication after the body, and
+  // the trace commit. Nothing in here feeds back into step_impl()'s
+  // decisions — metrics-on and metrics-off drains are bit-identical.
   step_trace_ = obs::StepTraceBuilder(
-      tracer_ == nullptr ? nullptr : clock_.get(), stats_.steps);
-  if (metrics_ != nullptr) m_.steps->inc();
+      tracer_ == nullptr ? nullptr : clock_.get(), steps());
   const bool more = step_impl();
   publish_step_metrics();
   if (tracer_ != nullptr) tracer_->commit(step_trace_.finish());

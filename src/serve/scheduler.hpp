@@ -159,9 +159,10 @@ struct SchedulerConfig {
   /// any decode thread count (pinned by tests/obs_test.cpp).
   ///
   /// Wall-clock request telemetry (queue-wait, TTFT, TPOT, end-to-end
-  /// histograms; sequence/page/prefix gauges; lifecycle and route
-  /// counters) is recorded into `metrics`; per-step phase spans go into
-  /// `tracer` (exported as Chrome trace JSON via GET /debug/trace).
+  /// histograms; sequence/page/prefix gauges) is recorded into `metrics`,
+  /// which also exposes the scheduler's, engine's and page allocator's
+  /// counters; per-step phase spans go into `tracer` (exported as Chrome
+  /// trace JSON via GET /debug/trace). One registry serves one scheduler.
   obs::MetricsRegistry* metrics = nullptr;
   obs::StepTracer* tracer = nullptr;
   /// Time source for the telemetry stamps. Null = steady-clock default;
@@ -171,19 +172,18 @@ struct SchedulerConfig {
   std::shared_ptr<const obs::Clock> clock;
 };
 
-/// Cumulative scheduler telemetry.
+/// Snapshot of the scheduler's lifecycle counters (scheduler_stats()).
+/// Prefix-cache reuse is counted by the engine: EngineStats::prefix_*.
 struct SchedulerStats {
   std::size_t steps = 0;
+  std::size_t submitted = 0;    ///< requests accepted by submit().
   std::size_t admitted = 0;     ///< admissions, including re-admissions.
   std::size_t preemptions = 0;  ///< sequences released under memory pressure.
   std::size_t deferred_admissions = 0;  ///< step-counted admission stalls.
   std::size_t prefill_chunks = 0;       ///< chunks scheduled (≤ 1 per step).
+  std::size_t finished = 0;             ///< requests that ran to completion.
   std::size_t cancelled = 0;            ///< requests ended by cancel().
   std::size_t deadline_exceeded = 0;    ///< requests ended by deadline.
-  std::size_t prefix_hits = 0;          ///< admissions that attached a
-                                        ///< cached prefix.
-  std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped at
-                                         ///< admission via the prefix cache.
 };
 
 /// FCFS continuous-batching scheduler over one Engine.
@@ -256,7 +256,8 @@ class Scheduler {
     return pool_ == nullptr ? 1 : pool_->size();
   }
   const SchedulerConfig& config() const noexcept { return cfg_; }
-  const SchedulerStats& scheduler_stats() const noexcept { return stats_; }
+  /// Snapshot of the lifecycle counters; safe from any thread.
+  SchedulerStats scheduler_stats() const noexcept;
   const std::vector<RequestResult>& results() const noexcept {
     return results_;
   }
@@ -329,17 +330,18 @@ class Scheduler {
   /// like preemption, not re-queued) and records the terminal result.
   void terminate_running(std::size_t slot, RequestStatus status);
   /// The body of step(); step() itself is the telemetry envelope (trace
-  /// builder + per-step gauge/counter publication) around it.
+  /// builder + per-step gauge publication) around it.
   bool step_impl();
-  /// Registers every scheduler-owned metric family (idempotent per
-  /// registry: register-or-get). Called once at construction.
+  /// Registers the histograms and gauges and exposes every counter (its
+  /// own, the engine's, the tier's). Called once at construction.
   void register_metrics();
+  /// Steps begun so far (the scheduler's native clock).
+  std::size_t steps() const noexcept { return counters_->steps.value(); }
   /// Wall-clock read for telemetry stamps; 0 when no sink wants time.
   std::uint64_t now_ns() const noexcept {
     return clock_ == nullptr ? 0 : clock_->now_ns();
   }
-  /// Publishes the per-step gauges (sequences, pages, prefix cache) and
-  /// mirrors the engine's dense/sparse route deltas into counters.
+  /// Publishes the per-step gauges (sequences, pages, prefix cache, tier).
   void publish_step_metrics();
 
   Engine& engine_;
@@ -348,13 +350,26 @@ class Scheduler {
   std::deque<Pending> waiting_;
   std::vector<Running> running_;
   std::vector<RequestResult> results_;
-  SchedulerStats stats_;
+  /// Lifecycle counters, each incremented at one site whether or not a
+  /// registry is wired; atomic, so readable off the scheduler thread.
+  struct Counters {
+    obs::Counter steps;
+    obs::Counter submitted;
+    obs::Counter admitted;
+    obs::Counter preemptions;
+    obs::Counter deferred_admissions;
+    obs::Counter prefill_chunks;
+    obs::Counter finished;
+    obs::Counter cancelled;
+    obs::Counter deadline_exceeded;
+  };
+  const std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
   std::uint64_t admit_counter_ = 0;  ///< preemption priority (newest first).
   bool poisoned_ = false;  ///< a decode batch threw; engine unusable.
 
-  /// Observability (scheduler-thread only, except the atomic counter
-  /// bumped from submit()). Handles are resolved once at construction;
-  /// null sinks compile the whole layer down to a handful of null checks.
+  /// Observability (scheduler-thread only). Handles are resolved once at
+  /// construction; null sinks compile the whole layer down to a handful of
+  /// null checks.
   obs::MetricsRegistry* metrics_ = nullptr;  ///< == cfg_.metrics.
   obs::StepTracer* tracer_ = nullptr;        ///< == cfg_.tracer.
   std::shared_ptr<const obs::Clock> clock_;  ///< null iff both sinks null.
@@ -366,18 +381,6 @@ class Scheduler {
     obs::Histogram* ttft = nullptr;
     obs::Histogram* tpot = nullptr;
     obs::Histogram* e2e = nullptr;
-    obs::Counter* submitted = nullptr;
-    obs::Counter* finished = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* deadline_exceeded = nullptr;
-    obs::Counter* steps = nullptr;
-    obs::Counter* preemptions = nullptr;
-    obs::Counter* deferrals = nullptr;
-    obs::Counter* prefill_chunks = nullptr;
-    obs::Counter* prefix_hits = nullptr;
-    obs::Counter* prefix_tokens = nullptr;
-    obs::Counter* route_dense = nullptr;
-    obs::Counter* route_sparse = nullptr;
     obs::Gauge* seq_running = nullptr;
     obs::Gauge* seq_waiting = nullptr;
     obs::Gauge* requests_live = nullptr;
@@ -389,16 +392,7 @@ class Scheduler {
     obs::Gauge* pages_hot = nullptr;
     obs::Gauge* pages_cold = nullptr;
     obs::Gauge* cold_bytes = nullptr;
-    obs::Counter* tier_demotions = nullptr;
-    obs::Counter* tier_pin_promotions = nullptr;
-    obs::Counter* tier_prefetch_promotions = nullptr;
-    obs::Counter* tier_prefetch_requests = nullptr;
   } m_;
-  /// Last-seen engine route totals, for per-step delta mirroring.
-  std::size_t seen_dense_steps_ = 0;
-  std::size_t seen_sparse_steps_ = 0;
-  /// Last-seen tier totals (same delta-mirroring scheme).
-  kv::TierStats seen_tier_;
 #if LSERVE_AUDIT_ENABLED
   /// Engine pool occupancy at construction; drain() aborts with the
   /// auditor's who-leaked-what report if it does not return to this.

@@ -35,9 +35,6 @@ class ReusableSelector {
       e.table = recompute();
       e.chunk = chunk;
       e.valid = true;
-      ++selector_runs_;
-    } else {
-      ++reuses_;
     }
     return e.table;
   }
@@ -46,9 +43,6 @@ class ReusableSelector {
   void reset();
 
   std::size_t reuse_interval() const noexcept { return interval_; }
-  /// Telemetry: how often the real selector ran vs was skipped.
-  std::size_t selector_runs() const noexcept { return selector_runs_; }
-  std::size_t reuses() const noexcept { return reuses_; }
 
  private:
   struct Entry {
@@ -58,8 +52,6 @@ class ReusableSelector {
   };
   std::vector<Entry> entries_;
   std::size_t interval_;
-  std::size_t selector_runs_ = 0;
-  std::size_t reuses_ = 0;
 };
 
 }  // namespace lserve::sparse

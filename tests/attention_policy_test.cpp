@@ -125,9 +125,6 @@ void expect_same_outcome(const DrainOutcome& a, const DrainOutcome& b) {
   EXPECT_EQ(a.sched_stats.deferred_admissions,
             b.sched_stats.deferred_admissions);
   EXPECT_EQ(a.sched_stats.prefill_chunks, b.sched_stats.prefill_chunks);
-  EXPECT_EQ(a.sched_stats.prefix_hits, b.sched_stats.prefix_hits);
-  EXPECT_EQ(a.sched_stats.prefix_tokens_reused,
-            b.sched_stats.prefix_tokens_reused);
 }
 
 constexpr std::size_t kThreadMatrix[] = {1, 2, 8};

@@ -169,6 +169,24 @@ TEST(Engine, ReusableSelectorReducesSelectorRuns) {
   EXPECT_GT(stats.selector_reuses, stats.selector_runs);
 }
 
+// Selector totals are cumulative: a released sequence's runs and reuses
+// stay counted.
+TEST(Engine, SelectorTotalsSurviveRelease) {
+  EngineConfig cfg = tiny_covering_lserve_config();
+  cfg.selector.token_budget = 16;  // force pruning
+  cfg.reuse_interval = 4;
+  Engine engine(cfg);
+  const auto ids = prompt_ids(64);
+  const auto first = engine.create_sequence();
+  engine.generate(first, ids, 9);
+  const EngineStats before = engine.stats();
+  engine.release_sequence(first);
+  const auto second = engine.create_sequence();
+  engine.generate(second, ids, 2);  // one decode step: fewer than `first`.
+  EXPECT_GT(engine.stats().selector_runs, before.selector_runs);
+  EXPECT_GE(engine.stats().selector_reuses, before.selector_reuses);
+}
+
 TEST(Engine, ReleaseSequenceFreesAllPages) {
   Engine engine(tiny_covering_lserve_config());
   const auto ids = prompt_ids(48);

@@ -171,7 +171,7 @@ TEST_P(OnlineSoftmaxParam, MatchesBatchSoftmax) {
     values.data()[i] = rng.gaussian();
 
   OnlineSoftmax acc(d);
-  acc.fold(scores.data(), values.data(), n, d);
+  for (std::size_t i = 0; i < n; ++i) acc.fold_one(scores[i], values.row(i));
   std::vector<float> out(d);
   acc.finish(out.data());
 

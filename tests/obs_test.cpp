@@ -3,13 +3,17 @@
 // quantile semantics, the Prometheus exposition golden format, the step
 // tracer ring, deterministic wall-clock telemetry through an injected
 // FakeClock, the telemetry-never-changes-scheduling bit-identity pin, and
-// the mirrored prefix-counter consistency regression
-// (EngineStats::prefix_* vs SchedulerStats::prefix_* vs PrefixCacheStats).
+// the single-count rule (each counter series reads the snapshot of the one
+// component that counts it; snapshots are safe to read while serving).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
@@ -89,6 +93,23 @@ TEST(Metrics, RegisterOrGetSharesSeriesAndRejectsTypeClash) {
   EXPECT_EQ(reg.find_counter("x_total")->value(), 7u);
   EXPECT_EQ(reg.find_gauge("x_total"), nullptr);   // type mismatch.
   EXPECT_EQ(reg.find_counter("absent"), nullptr);  // unknown name.
+}
+
+TEST(Metrics, ExposedCounterHasOneOwnerAndOutlivesIt) {
+  MetricsRegistry reg;
+  {
+    const auto owned = std::make_shared<Counter>();
+    reg.expose("y_total", "y", owned);
+    reg.expose("y_total", "y", owned);  // same object: a no-op.
+    owned->inc(3);
+    EXPECT_THROW(reg.expose("y_total", "y", std::make_shared<Counter>()),
+                 std::invalid_argument);
+    EXPECT_THROW(reg.counter("y_total", "y"), std::invalid_argument);
+    EXPECT_THROW(reg.gauge("y_total", "y"), std::invalid_argument);
+  }
+  // The owner is gone; the registry's share keeps the series readable.
+  EXPECT_EQ(reg.find_counter("y_total")->value(), 3u);
+  EXPECT_NE(reg.expose_prometheus().find("y_total 3\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,21 +389,9 @@ TEST(SchedulerObs, DeterministicTtftTpotQueueWaitAndE2eViaFakeClock) {
   EXPECT_EQ(e2e->count(), 1u);
   EXPECT_DOUBLE_EQ(e2e->sum(), 5000.0 * 1e-9);  // 6000 - 1000.
 
-  // Lifecycle counters and per-step gauges mirror SchedulerStats.
-  const serve::SchedulerStats& stats = sched.scheduler_stats();
-  EXPECT_EQ(reg.find_counter("lserve_scheduler_steps_total")->value(),
-            stats.steps);
-  EXPECT_EQ(reg.find_counter("lserve_requests_submitted_total")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("lserve_requests_finished_total")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("lserve_prefill_chunks_total")->value(),
-            stats.prefill_chunks);
-  EXPECT_EQ(
-      reg.find_counter("lserve_decode_route_steps_total{route=\"dense\"}")
-              ->value() +
-          reg.find_counter(
-                 "lserve_decode_route_steps_total{route=\"sparse\"}")
-              ->value(),
-      engine.stats().decode_dense_steps + engine.stats().decode_sparse_steps);
+  // Per-step gauges (counter series: EveryCounterSeriesReadsItsOwner).
+  const serve::SchedulerStats stats = sched.scheduler_stats();
+  EXPECT_EQ(stats.finished, 1u);
   EXPECT_EQ(reg.find_gauge("lserve_sequences_running")->value(), 0.0);
   EXPECT_EQ(reg.find_gauge("lserve_requests_live")->value(), 0.0);
   EXPECT_EQ(reg.find_gauge("lserve_kv_pages_in_use")->value(),
@@ -431,8 +440,6 @@ TEST(SchedulerObs, PreemptionDoesNotDoubleCountTtft) {
   EXPECT_EQ(reg.find_histogram("lserve_request_ttft_seconds")->count(), 2u);
   EXPECT_EQ(reg.find_histogram("lserve_request_queue_wait_seconds")->count(),
             2u);
-  EXPECT_EQ(reg.find_counter("lserve_preemptions_total")->value(),
-            sched.scheduler_stats().preemptions);
 }
 
 // The bit-identity pin: telemetry must never feed back into scheduling.
@@ -481,11 +488,10 @@ TEST(SchedulerObs, MetricsOnAndOffDrainBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Mirrored prefix counters: the same numbers must be visible at every
-// layer — PrefixCacheStats (source of truth), EngineStats::prefix_*
-// (engine mirror), SchedulerStats::prefix_* (admission-side count), and
-// the lserve_prefix_* metrics — across a workload that exercises hits,
-// copy-on-write divergence, eviction, and preemption together.
+// One owner per series: each exported lserve_*_total series is the counter
+// of the component that sees the event, so it equals that component's
+// snapshot field exactly — across a workload that mixes prefix hits,
+// copy-on-write divergence, cache eviction, preemption and tier demotion.
 
 serve::EngineConfig prefix_cfg() {
   serve::EngineConfig cfg = baselines::lserve_config(model::tiny());
@@ -497,70 +503,128 @@ serve::EngineConfig prefix_cfg() {
   cfg.pool_pages = 1024;
   cfg.enable_prefix_cache = true;
   cfg.memory.prefix_cache_pages = 24;  // tight tree budget: forces evictions.
+  cfg.memory.hot_pages = 16;  // tight hot tier: forces demotions.
   return cfg;
 }
 
-TEST(SchedulerObs, PrefixCountersMirrorAcrossAllLayers) {
+/// Submits one round of three requests sharing only their first 5 tokens.
+/// 5 is mid-page (page size 8) and inside the sink window, so a later
+/// request attaching the shared prefix gets a partial-page tail — the
+/// copy-on-write path. The divergent bulk plus the tight tree budget
+/// forces evictions.
+void submit_prefix_round(serve::Scheduler& sched, int round) {
+  for (int v = 0; v < 3; ++v) {
+    serve::Request req;
+    for (int t = 0; t < 32; ++t) {
+      req.prompt.push_back(t < 5 ? (3 + 7 * t) % 251
+                                 : (1 + round * 83 + v * 29 + t - 5) % 251);
+    }
+    req.max_new_tokens = 6;
+    sched.submit(std::move(req));
+  }
+}
+
+TEST(SchedulerObs, EveryCounterSeriesReadsItsOwner) {
   serve::Engine engine(prefix_cfg());
   MetricsRegistry reg;
   serve::SchedulerConfig sc;
   sc.max_batch = 2;
-  sc.memory.page_budget = 40;  // forces preemption alongside the cache traffic.
+  // Charges hot pages only under tiering; tight enough to force
+  // preemption alongside the cache traffic.
+  sc.memory.page_budget = 36;
   sc.metrics = &reg;
   sc.clock = std::make_shared<FakeClock>();
   serve::Scheduler sched(engine, sc);
-
-  // Four rounds of requests sharing only the first 5 tokens, then
-  // diverging. 5 is mid-page (page size 8) and inside the sink window, so
-  // a later request attaching the shared prefix gets a partial-page tail —
-  // the copy-on-write path. The divergent bulk plus the tight tree budget
-  // forces evictions; the tight page budget forces preemptions.
-  std::vector<std::int32_t> shared(5);
-  for (std::size_t i = 0; i < shared.size(); ++i) {
-    shared[i] = static_cast<std::int32_t>((3 + 7 * i) % 251);
-  }
   for (int round = 0; round < 4; ++round) {
-    for (int v = 0; v < 3; ++v) {
-      serve::Request req;
-      req.prompt = shared;
-      for (int t = 0; t < 27; ++t) {
-        req.prompt.push_back(
-            static_cast<std::int32_t>(1 + round * 83 + v * 29 + t) % 251);
-      }
-      req.max_new_tokens = 6;
-      sched.submit(req);
-    }
+    submit_prefix_round(sched, round);
     sched.drain();
   }
-
-  const kv::PrefixCacheStats cache = engine.prefix_cache()->stats();
-  const serve::EngineStats& es = engine.stats();
-  const serve::SchedulerStats& ss = sched.scheduler_stats();
-
-  // The workload genuinely mixed all four behaviours.
-  EXPECT_GT(cache.hits, 0u);
-  EXPECT_GT(cache.cow_copies, 0u);
-  EXPECT_GT(cache.evictions, 0u);
-  EXPECT_GT(ss.preemptions, 0u);
-
-  // Engine mirrors the cache exactly.
-  EXPECT_EQ(es.prefix_hits, cache.hits);
-  EXPECT_EQ(es.prefix_tokens_reused, cache.tokens_reused);
-  EXPECT_EQ(es.prefix_cow_copies, cache.cow_copies);
-  EXPECT_EQ(es.prefix_evictions, cache.evictions);
-
-  // Scheduler-side admission counters agree (every attach goes through
-  // admission in this workload).
-  EXPECT_EQ(ss.prefix_hits, cache.hits);
-  EXPECT_EQ(ss.prefix_tokens_reused, cache.tokens_reused);
-
-  // And the exported metrics agree with all of the above.
-  EXPECT_EQ(reg.find_counter("lserve_prefix_hits_total")->value(),
-            cache.hits);
-  EXPECT_EQ(reg.find_counter("lserve_prefix_tokens_reused_total")->value(),
-            cache.tokens_reused);
   EXPECT_EQ(reg.find_gauge("lserve_prefix_cache_pages_held")->value(),
             static_cast<double>(engine.prefix_cache_pages_held()));
+
+  // A partition change rebuilds the prefix cache; its totals carry over.
+  // (The rebuild also releases every cached page, so the tier's prefetch
+  // thread has nothing left to promote: the counters below are settled.)
+  const serve::EngineStats before = engine.stats();
+  engine.set_head_kinds(engine.head_kinds());
+  const serve::EngineStats es = engine.stats();
+  EXPECT_GE(es.prefix_hits, before.prefix_hits);
+  EXPECT_GE(es.prefix_tokens_reused, before.prefix_tokens_reused);
+  EXPECT_GE(es.prefix_cow_copies, before.prefix_cow_copies);
+  EXPECT_GE(es.prefix_evictions, before.prefix_evictions);
+  EXPECT_EQ(engine.prefix_cache()->stats().hits, es.prefix_hits);
+
+  const serve::SchedulerStats ss = sched.scheduler_stats();
+  const kv::TierStats tier = engine.tier_stats();
+  // The workload genuinely mixed all five behaviours.
+  EXPECT_GT(es.prefix_hits, 0u);
+  EXPECT_GT(es.prefix_cow_copies, 0u);
+  EXPECT_GT(before.prefix_evictions, 0u);
+  EXPECT_GT(ss.preemptions, 0u);
+  EXPECT_GT(tier.demotions, 0u);
+
+  const std::pair<std::string, std::uint64_t> series[] = {
+      {"lserve_requests_submitted_total", ss.submitted},
+      {"lserve_requests_finished_total", ss.finished},
+      {"lserve_requests_cancelled_total", ss.cancelled},
+      {"lserve_requests_deadline_exceeded_total", ss.deadline_exceeded},
+      {"lserve_scheduler_steps_total", ss.steps},
+      {"lserve_preemptions_total", ss.preemptions},
+      {"lserve_admission_deferrals_total", ss.deferred_admissions},
+      {"lserve_prefill_chunks_total", ss.prefill_chunks},
+      {"lserve_decode_route_steps_total{route=\"dense\"}",
+       es.decode_dense_steps},
+      {"lserve_decode_route_steps_total{route=\"sparse\"}",
+       es.decode_sparse_steps},
+      {"lserve_prefix_hits_total", es.prefix_hits},
+      {"lserve_prefix_tokens_reused_total", es.prefix_tokens_reused},
+      {"lserve_tier_demotions_total", tier.demotions},
+      {"lserve_tier_pin_promotions_total", tier.pin_promotions},
+      {"lserve_tier_prefetch_promotions_total", tier.prefetch_promotions},
+      {"lserve_tier_prefetch_requests_total", tier.prefetch_requests},
+  };
+  for (const auto& [name, value] : series) {
+    const Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), value) << name;
+  }
+  // ...and no exported counter series is left out of the list above.
+  std::size_t exported = 0;
+  std::istringstream page(reg.expose_prometheus());
+  for (std::string line; std::getline(page, line);) {
+    exported += line[0] != '#' && line.find("_total") != std::string::npos;
+  }
+  EXPECT_EQ(exported, std::size(series));
+}
+
+// The TSan CI job runs this suite: every snapshot accessor must be safe to
+// read from another thread while the scheduler thread serves.
+TEST(SchedulerObs, SnapshotReadsAreRaceFreeWhileServing) {
+  serve::Engine engine(prefix_cfg());
+  serve::SchedulerConfig sc;
+  sc.max_batch = 2;
+  sc.decode_threads = 2;
+  serve::Scheduler sched(engine, sc);
+  submit_prefix_round(sched, 0);
+  submit_prefix_round(sched, 1);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::size_t steps = 0, decode_steps = 0, demotions = 0;
+    while (!done.load()) {
+      // Totals only grow.
+      EXPECT_GE(sched.scheduler_stats().steps, steps);
+      EXPECT_GE(engine.stats().decode_steps, decode_steps);
+      EXPECT_GE(engine.tier_stats().demotions, demotions);
+      steps = sched.scheduler_stats().steps;
+      decode_steps = engine.stats().decode_steps;
+      demotions = engine.tier_stats().demotions;
+    }
+  });
+  sched.run_until_idle();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(sched.scheduler_stats().finished, 6u);
 }
 
 }  // namespace

@@ -205,7 +205,7 @@ std::vector<std::vector<std::int32_t>> sched_outputs(bool cache_on,
   sched.drain();
   if (cache_on) {
     // Later admissions ride the prefix the earlier retirements inserted.
-    EXPECT_GT(sched.scheduler_stats().prefix_hits, 0u);
+    EXPECT_GT(eng.stats().prefix_hits, 0u);
   }
   return outs;
 }

@@ -20,8 +20,6 @@ TEST(ReusableSelector, IntervalOneRecomputesEveryStep) {
     });
   }
   EXPECT_EQ(calls, 5);
-  EXPECT_EQ(sel.selector_runs(), 5u);
-  EXPECT_EQ(sel.reuses(), 0u);
 }
 
 TEST(ReusableSelector, ReusesWithinChunk) {
@@ -35,8 +33,7 @@ TEST(ReusableSelector, ReusesWithinChunk) {
     // Steps 0-3 see the table computed at step 0; steps 4-7 at step 4.
     EXPECT_EQ(t[0].block, step < 4 ? 0u : 4u);
   }
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(sel.reuses(), 6u);
+  EXPECT_EQ(calls, 2);  // 8 lookups: 2 runs, 6 reuses.
 }
 
 TEST(ReusableSelector, SlotsAreIndependent) {
