@@ -53,6 +53,10 @@ class ColdStore {
   std::size_t max_bytes() const noexcept { return max_bytes_; }
   std::size_t slots_in_use() const noexcept;
   std::size_t bytes_in_use() const noexcept;
+  /// True when the backing is the unlinked temp file (false = anonymous
+  /// fallback). Exposed for tests/diagnostics.
+  bool file_backed() const noexcept { return fd_ >= 0; }
+
  private:
   /// One mapped run of kExtentSlots slots.
   struct Extent {

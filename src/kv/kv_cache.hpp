@@ -1,7 +1,7 @@
 // Per-sequence paged KV cache for dense (retrieval) heads.
 //
-// HeadCache owns the page list of one (layer, kv-head); a sequence's grid
-// of them lives in kv::TwoWayKvCache. Pages come from a shared
+// HeadCache owns the page list of one (layer, kv-head); SequenceKvCache is
+// the [layers x kv_heads] grid of them. Pages come from a shared
 // PageAllocator so multiple sequences can coexist in one pool, as in a real
 // serving engine.
 #pragma once
@@ -49,6 +49,32 @@ class HeadCache {
  private:
   std::vector<PageId> pages_;
   std::size_t tokens_ = 0;
+};
+
+/// The full [layers x kv_heads] KV cache of one sequence (dense heads).
+class SequenceKvCache {
+ public:
+  SequenceKvCache(std::size_t layers, std::size_t kv_heads)
+      : layers_(layers), kv_heads_(kv_heads), heads_(layers * kv_heads) {}
+
+  HeadCache& head(std::size_t layer, std::size_t h) noexcept {
+    return heads_[layer * kv_heads_ + h];
+  }
+  const HeadCache& head(std::size_t layer, std::size_t h) const noexcept {
+    return heads_[layer * kv_heads_ + h];
+  }
+
+  std::size_t layers() const noexcept { return layers_; }
+  std::size_t kv_heads() const noexcept { return kv_heads_; }
+
+  void release(PageAllocator& alloc) noexcept {
+    for (auto& h : heads_) h.release(alloc);
+  }
+
+ private:
+  std::size_t layers_;
+  std::size_t kv_heads_;
+  std::vector<HeadCache> heads_;
 };
 
 }  // namespace lserve::kv

@@ -415,23 +415,20 @@ TierStats PageAllocator::tier_stats() const noexcept {
 void PageAllocator::expose_tier_counters(
     obs::MetricsRegistry& registry) const {
   const TierCounters& c = *tier_counters_;
-  const auto expose = [&](const char* name, const char* help,
-                          const obs::Counter& counter) {
-    registry.expose(name, help, {tier_counters_, &counter});
-  };
-  expose("lserve_tier_demotions_total",
-         "Pages serialized out of the hot pool into the cold tier.",
-         c.demotions);
-  expose("lserve_tier_pin_promotions_total",
-         "Cold pages promoted synchronously on a pin miss (prefetch "
-         "missed).",
-         c.pin_promotions);
-  expose("lserve_tier_prefetch_promotions_total",
-         "Cold pages promoted by the prefetcher before any pin needed them.",
-         c.prefetch_promotions);
-  expose("lserve_tier_prefetch_requests_total",
-         "Cold pages enqueued for asynchronous promotion.",
-         c.prefetch_requests);
+  registry.expose("lserve_tier_demotions_total",
+                  "Pages serialized out of the hot pool into the cold tier.",
+                  tier_counters_, c.demotions);
+  registry.expose("lserve_tier_pin_promotions_total",
+                  "Cold pages promoted synchronously on a pin miss (prefetch "
+                  "missed).",
+                  tier_counters_, c.pin_promotions);
+  registry.expose("lserve_tier_prefetch_promotions_total",
+                  "Cold pages promoted by the prefetcher before any pin "
+                  "needed them.",
+                  tier_counters_, c.prefetch_promotions);
+  registry.expose("lserve_tier_prefetch_requests_total",
+                  "Cold pages enqueued for asynchronous promotion.",
+                  tier_counters_, c.prefetch_requests);
 }
 
 // ---------------------------------------------------------------------------

@@ -266,6 +266,7 @@ class PageAllocator {
   void prefetch(std::span<const SelectedPage> table) const;
 
   bool tiered() const noexcept { return tier_.enabled(); }
+  const TierConfig& tier_config() const noexcept { return tier_; }
   /// Tier telemetry snapshot (zeros when tiering is off). Thread-safe.
   TierStats tier_stats() const noexcept;
   /// Exposes the tier counters on `registry` as lserve_tier_*_total.

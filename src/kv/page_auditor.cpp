@@ -70,6 +70,7 @@ void PageAuditor::on_alloc(PageId id) {
   rec.thread_id = this_thread_id();
   rec.live = true;
   rec.shared = false;
+  ++live_;
 }
 
 void PageAuditor::on_add_ref(PageId id) noexcept {
@@ -189,6 +190,7 @@ void PageAuditor::on_free(PageId id) noexcept {
   rec.free_owner = PageAuditScope::current_owner();
   rec.free_site = PageAuditScope::current_site();
   rec.free_thread_id = this_thread_id();
+  --live_;
 }
 
 std::string PageAuditor::report_live() const {
@@ -214,6 +216,11 @@ std::string PageAuditor::report_live() const {
     out += "\n";
   }
   return out;
+}
+
+std::size_t PageAuditor::live_pages() const {
+  MutexLock lock(mu_);
+  return live_;
 }
 
 std::size_t PageAuditor::pinned_pages() const {

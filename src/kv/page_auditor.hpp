@@ -129,6 +129,9 @@ class PageAuditor {
   /// pool.
   std::string report_live() const;
 
+  /// Live (allocated, not yet freed) pages tracked by the auditor.
+  std::size_t live_pages() const;
+
  private:
   struct Record {
     std::uint64_t owner = kAuditNoOwner;
@@ -154,6 +157,7 @@ class PageAuditor {
 
   mutable Mutex mu_;
   std::unordered_map<PageId, Record> records_ GUARDED_BY(mu_);
+  std::size_t live_ GUARDED_BY(mu_) = 0;
   std::size_t pinned_ GUARDED_BY(mu_) = 0;  ///< pages with pins > 0.
 };
 
@@ -181,6 +185,7 @@ class PageAuditor {
   void on_unpin(PageId /*id*/) noexcept {}
   void on_demote(PageId /*id*/) noexcept {}
   std::string report_live() const { return std::string(); }
+  std::size_t live_pages() const { return 0; }
   std::size_t pinned_pages() const { return 0; }
 };
 

@@ -105,10 +105,7 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
   MutexLock lock(mu_);
   const Match m = match_locked(prompt, max_tokens);
   const std::size_t depth = best_depth_locked(m);
-  if (depth == 0) {
-    counters_.misses.inc();
-    return 0;
-  }
+  if (depth == 0) return 0;
   ++clock_;
   const std::size_t full_blocks = depth / page_size_;
   const std::size_t tail = depth % page_size_;
@@ -282,7 +279,6 @@ void PrefixCache::insert(std::span<const std::int32_t> tokens,
       node->parent = cur;
       fill_node(*node, block);
       cur->children.push_back(std::move(node));
-      ++nodes_;
       cur = cur->children.back().get();
       pos += page_size_;
       continue;
@@ -321,7 +317,6 @@ void PrefixCache::insert(std::span<const std::int32_t> tokens,
       node->parent = cur;
       fill_node(*node, block);
       cur->children.push_back(std::move(node));
-      ++nodes_;
     }
     break;
   }
@@ -395,7 +390,6 @@ std::size_t PrefixCache::evict_leaf_locked(Node* leaf) {
       break;
     }
   }
-  --nodes_;
   counters_.evictions.inc();
   return freed;
 }
@@ -443,19 +437,6 @@ void PrefixCache::clear() {
 std::size_t PrefixCache::pages_held() const {
   MutexLock lock(mu_);
   return pages_held_;
-}
-
-PrefixCacheStats PrefixCache::stats() const {
-  PrefixCacheStats s;
-  s.hits = counters_.hits.value();
-  s.misses = counters_.misses.value();
-  s.tokens_reused = counters_.tokens_reused.value();
-  s.cow_copies = counters_.cow_copies.value();
-  s.evictions = counters_.evictions.value();
-  MutexLock lock(mu_);
-  s.nodes = nodes_;
-  s.pages_held = pages_held_;
-  return s;
 }
 
 }  // namespace lserve::kv

@@ -60,21 +60,9 @@ struct PrefixCacheConfig {
 /// the totals survive a rebuild when the head partition changes.
 struct PrefixCacheCounters {
   obs::Counter hits;           ///< attaches that reused >= 1 token.
-  obs::Counter misses;         ///< attaches that reused nothing.
   obs::Counter tokens_reused;  ///< prompt tokens skipped via attach.
   obs::Counter cow_copies;     ///< pages copied on write/divergence.
   obs::Counter evictions;      ///< tree nodes evicted (LRU, reclaim, clear).
-};
-
-/// Snapshot of the counters plus the tree's current size.
-struct PrefixCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t tokens_reused = 0;
-  std::size_t cow_copies = 0;
-  std::size_t evictions = 0;
-  std::size_t nodes = 0;       ///< current tree nodes.
-  std::size_t pages_held = 0;  ///< page references the tree holds.
 };
 
 /// Token-block radix tree of refcounted KV pages shared across requests.
@@ -127,8 +115,6 @@ class PrefixCache {
 
   /// Page references currently held by the tree.
   std::size_t pages_held() const EXCLUDES(mu_);
-
-  PrefixCacheStats stats() const EXCLUDES(mu_);
 
  private:
   /// One token block: `run` tokens (== page_size except for a partial
@@ -185,7 +171,6 @@ class PrefixCache {
   std::unique_ptr<Node> root_ GUARDED_BY(mu_);
   std::uint64_t clock_ GUARDED_BY(mu_) = 0;
   std::size_t pages_held_ GUARDED_BY(mu_) = 0;
-  std::size_t nodes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace lserve::kv

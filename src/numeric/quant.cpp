@@ -248,6 +248,11 @@ void QuantizedRows::deserialize(const std::uint8_t* in) noexcept {
   }
 }
 
+const float* QuantizedRows::fp_row(std::size_t r) const noexcept {
+  assert(dtype_ == KvDtype::kFp16 && r < rows_);
+  return fp_.data() + r * dim_;
+}
+
 double QuantizedRows::device_bytes() const noexcept {
   // Payload plus per-row scale/zero (2 fp16 values) for quantized dtypes.
   const double payload =

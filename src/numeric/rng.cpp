@@ -85,6 +85,10 @@ void Rng::fill_gaussian(std::vector<float>& out, float stddev) noexcept {
   for (auto& v : out) v = gaussian(0.0f, stddev);
 }
 
+void Rng::fill_uniform(std::vector<float>& out, float lo, float hi) noexcept {
+  for (auto& v : out) v = uniform(lo, hi);
+}
+
 std::vector<float> Rng::unit_vector(std::size_t dim) {
   std::vector<float> v(dim);
   double norm_sq = 0.0;

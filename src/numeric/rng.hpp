@@ -42,6 +42,9 @@ class Rng {
   /// Fills `out` with iid N(0, stddev^2).
   void fill_gaussian(std::vector<float>& out, float stddev) noexcept;
 
+  /// Fills `out` with iid U[lo, hi).
+  void fill_uniform(std::vector<float>& out, float lo, float hi) noexcept;
+
   /// Random unit vector of dimension `dim`.
   std::vector<float> unit_vector(std::size_t dim);
 

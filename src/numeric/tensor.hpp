@@ -126,6 +126,13 @@ class Tensor {
     for (auto& x : data_) x = v;
   }
 
+  /// Resize, discarding contents (re-zeroed).
+  void reshape(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0f);
+  }
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

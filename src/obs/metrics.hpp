@@ -146,6 +146,14 @@ class MetricsRegistry {
   /// name throws std::invalid_argument, as does counter() on this name.
   void expose(const std::string& name, const std::string& help,
               std::shared_ptr<const Counter> counter) EXCLUDES(mu_);
+  /// Exposes `counter`, a member of the block `owner` points to; the
+  /// registry keeps the whole block alive.
+  template <typename Owner>
+  void expose(const std::string& name, const std::string& help,
+              const std::shared_ptr<Owner>& owner, const Counter& counter)
+      EXCLUDES(mu_) {
+    expose(name, help, std::shared_ptr<const Counter>(owner, &counter));
+  }
 
   /// Lookup without registration; nullptr when absent or of another type.
   /// (The /healthz handler reads occupancy gauges through these, so

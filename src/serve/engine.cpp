@@ -520,23 +520,20 @@ EngineStats Engine::stats() const noexcept {
 
 void Engine::expose_counters(obs::MetricsRegistry& registry) const {
   const Counters& c = *counters_;
-  const auto expose = [&](const char* name, const char* help,
-                          const obs::Counter& counter) {
-    registry.expose(name, help, {counters_, &counter});
-  };
   const char* const route =
       "Per-sequence decode steps routed dense vs. sparse by the attention "
       "policy.";
-  expose("lserve_decode_route_steps_total{route=\"dense\"}", route,
-         c.decode_dense_steps);
-  expose("lserve_decode_route_steps_total{route=\"sparse\"}", route,
-         c.decode_sparse_steps);
-  expose("lserve_prefix_hits_total",
-         "Admissions that attached a cached prefix from the radix cache.",
-         c.prefix.hits);
-  expose("lserve_prefix_tokens_reused_total",
-         "Prompt tokens skipped at admission via the prefix cache.",
-         c.prefix.tokens_reused);
+  registry.expose("lserve_decode_route_steps_total{route=\"dense\"}", route,
+                  counters_, c.decode_dense_steps);
+  registry.expose("lserve_decode_route_steps_total{route=\"sparse\"}", route,
+                  counters_, c.decode_sparse_steps);
+  registry.expose("lserve_prefix_hits_total",
+                  "Admissions that attached a cached prefix from the radix "
+                  "cache.",
+                  counters_, c.prefix.hits);
+  registry.expose("lserve_prefix_tokens_reused_total",
+                  "Prompt tokens skipped at admission via the prefix cache.",
+                  counters_, c.prefix.tokens_reused);
   dense_alloc_.expose_tier_counters(registry);
 }
 

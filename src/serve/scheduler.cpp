@@ -98,30 +98,26 @@ void Scheduler::register_metrics() {
   m_.cold_bytes = &r.gauge("lserve_kv_cold_bytes",
                            "Bytes occupied in the cold spill store.");
   const Counters& c = *counters_;
-  const auto expose = [&](const char* name, const char* help,
-                          const obs::Counter& counter) {
-    r.expose(name, help, {counters_, &counter});
-  };
-  expose("lserve_requests_submitted_total", "Requests accepted by submit().",
-         c.submitted);
-  expose("lserve_requests_finished_total",
-         "Requests that produced max_new_tokens.", c.finished);
-  expose("lserve_requests_cancelled_total",
-         "Requests terminated by cancel().", c.cancelled);
-  expose("lserve_requests_deadline_exceeded_total",
-         "Requests terminated by a step-count deadline.",
-         c.deadline_exceeded);
-  expose("lserve_scheduler_steps_total",
-         "Scheduler iterations (Scheduler::step calls).", c.steps);
-  expose("lserve_preemptions_total",
-         "Sequences released under memory pressure and re-queued.",
-         c.preemptions);
-  expose("lserve_admission_deferrals_total",
-         "Steps on which the front request did not fit the page budget.",
-         c.deferred_admissions);
-  expose("lserve_prefill_chunks_total",
-         "Prefill chunks scheduled (at most one per step).",
-         c.prefill_chunks);
+  r.expose("lserve_requests_submitted_total", "Requests accepted by submit().",
+           counters_, c.submitted);
+  r.expose("lserve_requests_finished_total",
+           "Requests that produced max_new_tokens.", counters_, c.finished);
+  r.expose("lserve_requests_cancelled_total",
+           "Requests terminated by cancel().", counters_, c.cancelled);
+  r.expose("lserve_requests_deadline_exceeded_total",
+           "Requests terminated by a step-count deadline.",
+           counters_, c.deadline_exceeded);
+  r.expose("lserve_scheduler_steps_total",
+           "Scheduler iterations (Scheduler::step calls).", counters_, c.steps);
+  r.expose("lserve_preemptions_total",
+           "Sequences released under memory pressure and re-queued.",
+           counters_, c.preemptions);
+  r.expose("lserve_admission_deferrals_total",
+           "Steps on which the front request did not fit the page budget.",
+           counters_, c.deferred_admissions);
+  r.expose("lserve_prefill_chunks_total",
+           "Prefill chunks scheduled (at most one per step).",
+           counters_, c.prefill_chunks);
   engine_.expose_counters(r);
 }
 

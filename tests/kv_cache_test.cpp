@@ -87,5 +87,19 @@ TEST(PageTable, SelectedTokensCountsPartialBlocks) {
   EXPECT_EQ(selected_tokens(pruned, view), 8u + 3u);
 }
 
+TEST(SequenceKvCache, IndependentHeadsShareThePool) {
+  PageAllocator alloc(cfg(), 16);
+  SequenceKvCache cache(/*layers=*/2, /*kv_heads=*/3);
+  std::vector<float> k(8, 1.0f), v(8, 2.0f);
+  cache.head(0, 0).append(alloc, k.data(), v.data());
+  cache.head(1, 2).append(alloc, k.data(), v.data());
+  EXPECT_EQ(cache.head(0, 0).tokens(), 1u);
+  EXPECT_EQ(cache.head(1, 2).tokens(), 1u);
+  EXPECT_EQ(cache.head(0, 1).tokens(), 0u);
+  EXPECT_EQ(alloc.pages_in_use(), 2u);
+  cache.release(alloc);
+  EXPECT_EQ(alloc.pages_in_use(), 0u);
+}
+
 }  // namespace
 }  // namespace lserve::kv
