@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels: block-sparse
 // prefill (iterator vs branchy vs dense), paged sparse decode (full vs
-// pruned vs streaming tables), quantized load paths, and selector scoring.
+// pruned vs streaming tables), one fused layer of decode and one fused
+// prefill chunk, quantized load paths, and selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
@@ -8,6 +9,8 @@
 
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/decode_attention.hpp"
+#include "attn/fused_attention.hpp"
+#include "baselines/baseline_engines.hpp"
 #include "eval/metrics.hpp"
 #include "model/workload.hpp"
 #include "numeric/quant.hpp"
@@ -146,6 +149,92 @@ void BM_DecodeInt4Table(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecodeInt4Table)->Arg(4096)->Arg(8192);
+
+/// One layer of the lserve deployment (small model: 4 kv heads, half of
+/// them streaming; int4 pages of 64 tokens) holding `tokens` tokens.
+struct LayerFixture {
+  serve::EngineConfig cfg = baselines::lserve_config(model::small());
+  std::size_t d = cfg.model.head_dim;
+  std::size_t kv_heads = cfg.model.kv_heads;
+  kv::PageAllocator dense;
+  kv::PageAllocator stream;
+  kv::TwoWayKvCache cache;
+
+  static kv::PageConfig stream_pages(kv::PageConfig pages) {
+    pages.track_kstats = false;  // as the engine's streaming pool
+    return pages;
+  }
+
+  explicit LayerFixture(std::size_t tokens)
+      : dense(cfg.dense_pages, tokens / 64 * 2 + 8),
+        stream(stream_pages(cfg.dense_pages), 64),
+        cache(1, kv_heads,
+              {kv::HeadKind::kDense, kv::HeadKind::kDense,
+               kv::HeadKind::kStreaming, kv::HeadKind::kStreaming},
+              cfg.streaming) {
+    num::Rng rng(11);
+    std::vector<float> k(d), v(d);
+    for (std::size_t t = 0; t < tokens; ++t) {
+      for (std::size_t h = 0; h < kv_heads; ++h) {
+        rng.fill_gaussian(k, 1.0f);
+        rng.fill_gaussian(v, 1.0f);
+        cache.append(dense, stream, 0, h, k.data(), v.data());
+      }
+    }
+  }
+};
+
+// fused_sparse_decode over one layer: selector reuse every
+// cfg.reuse_interval steps, each kv head's group folded in one page walk.
+void BM_FusedDecodeLayer(benchmark::State& state) {
+  LayerFixture fix(state.range(0));
+  const std::size_t group = state.range(1);
+  num::Tensor q(fix.kv_heads * group, fix.d), out(fix.kv_heads * group, fix.d);
+  num::Rng rng(12);
+  for (std::size_t i = 0; i < q.size(); ++i) q.data()[i] = rng.gaussian();
+  attn::FusedDecodeConfig dc;
+  dc.selector = fix.cfg.selector;
+  sparse::ReusableSelector selector(fix.kv_heads, fix.cfg.reuse_interval);
+  std::size_t step = 0;
+  for (auto _ : state) {
+    attn::fused_sparse_decode(fix.dense, fix.stream, fix.cache, 0, q.view(),
+                              group, &selector, step++, dc, out.view());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_FusedDecodeLayer)->ArgsProduct({{4096, 8192}, {2, 4}});
+
+// One 128-row fused_chunked_prefill chunk over 2K tokens of history, as
+// the engine runs it: chunk K/V written back first, then attended.
+void BM_FusedPrefillChunk(benchmark::State& state) {
+  const std::size_t history = 2048, chunk = 128;
+  LayerFixture fix(history);
+  const std::size_t group = fix.cfg.model.group_size();
+  num::Tensor q(chunk, fix.kv_heads * group * fix.d);
+  num::Tensor k(chunk, fix.kv_heads * fix.d), v(chunk, fix.kv_heads * fix.d);
+  num::Tensor out(chunk, fix.kv_heads * group * fix.d);
+  num::Rng rng(13);
+  for (auto* t : {&q, &k, &v}) {
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
+  }
+  for (std::size_t t = 0; t < chunk; ++t) {
+    for (std::size_t h = 0; h < fix.kv_heads; ++h) {
+      fix.cache.append_roundtrip(fix.dense, fix.stream, 0, h,
+                                 k.row(t) + h * fix.d, v.row(t) + h * fix.d);
+    }
+  }
+  attn::FusedPrefillConfig pc;
+  pc.tiling = fix.cfg.tiling;
+  pc.streaming = {/*sink_blocks=*/1, /*local_blocks=*/4};
+  pc.total_tokens = history + chunk;
+  for (auto _ : state) {
+    attn::fused_chunked_prefill(fix.dense, fix.stream, fix.cache, 0,
+                                q.view(), k.view(), v.view(), fix.d, pc,
+                                out.view());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_FusedPrefillChunk);
 
 void BM_SelectorFlat(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);

@@ -1,20 +1,27 @@
-// Unified sparse decode attention kernel (LServe §3.6).
+// The one paged attention walk (LServe §3.6), shared by prefill and decode.
 //
-// One kernel serves every decode-stage head flavour:
+// Every head flavour reads its KV through a SelectedPageTable:
 //   * dense head, no pruning      — table = full page table (vLLM baseline);
 //   * dense head, dynamic pruning — table = page-selector output;
 //   * streaming head              — table = sink+local index table.
 //
-// The kernel's physical iteration index walks the SelectedPageTable in
-// order; each entry's logical block index maps the step back to the actual
-// token positions (the two-level physical->logical indexing). KV rows are
-// dequantized on load, modelling QServe-style fused dequantuation.
+// The walk's physical iteration index follows the table in order; each
+// entry's logical block index maps the step back to the actual token
+// positions (the two-level physical->logical indexing). KV rows are
+// dequantized on load, modelling QServe-style fused dequantization. One
+// call serves every query row of a kv head's GQA group: each page is
+// pinned once and each token's K/V loaded once, then folded into every row
+// that sees it. Prefill passes a tile of chunk rows plus the chunk's own
+// K/V; decode passes the group's single-position rows.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
+#include "attn/streaming_attention.hpp"
 #include "kv/page_allocator.hpp"
 #include "kv/page_table.hpp"
+#include "numeric/tensor.hpp"
 
 namespace lserve::attn {
 
@@ -36,7 +43,53 @@ struct DecodeWorkStats {
   std::size_t selector_reuses = 0;
 };
 
-/// Sparse decode for one head.
+/// Query rows of one kv head's group. Row i of `q` holds the group's
+/// `group` queries at absolute position pos0 + i, head-minor
+/// ([positions x group*head_dim]); `out` has the same shape.
+struct GroupRows {
+  num::ConstMatView q;
+  num::MatView out;
+  std::size_t pos0 = 0;
+  std::size_t group = 1;
+};
+
+/// Which tokens a row sees on top of causality (token <= row position).
+struct Visibility {
+  enum class Kind {
+    kCausal,     ///< nothing more: decode and causal dense prefill.
+    kStreaming,  ///< Λ band in absolute coordinates (streaming prefill).
+    kBlockMask,  ///< chunk-local block masks (dynamic dense prefill).
+  };
+  Kind kind = Kind::kCausal;
+  PrefillTiling tiling;
+  /// kStreaming: key tile kb is live for position p iff kb < sink_blocks
+  /// or kb + local_blocks > diag(p), diag(p) being the k-tile of the last
+  /// row of p's q-tile clamped to `total_tokens` — BlockMask::streaming's
+  /// rule, so every chunk schedule makes the monolithic decisions.
+  StreamingBlocks streaming;
+  std::size_t total_tokens = 0;
+  /// kBlockMask: one mask per group member over the chunk's own rows and
+  /// keys; paged tokens are always visible.
+  std::span<const BlockMask> masks;
+};
+
+/// Attention of `rows` over the first `paged_tokens` tokens listed in
+/// `table` (sorted by logical block), followed by the chunk's own K/V rows
+/// `chunk_k`/`chunk_v` at positions paged_tokens, paged_tokens + 1, ...
+/// (empty views in decode). Every row must sit at or after the last paged
+/// token. Each row folds its visible tokens in table-then-chunk order, so
+/// splitting rows across calls never changes a bit. `lse_out`, if
+/// non-null, receives one log-sum-exp per row (row-major, head-minor);
+/// `stats`, if non-null, counts visited pages and tokens once per row.
+void paged_attention(const kv::PageAllocator& alloc,
+                     const kv::SelectedPageTable& table,
+                     std::size_t paged_tokens, const GroupRows& rows,
+                     num::ConstMatView chunk_k, num::ConstMatView chunk_v,
+                     const Visibility& vis, float scale,
+                     float* lse_out = nullptr,
+                     DecodeWorkStats* stats = nullptr);
+
+/// Sparse decode for one head: the single-row paged_attention.
 ///
 /// `table` lists the pages to visit (sorted by logical block);
 /// `seq_tokens` is the sequence's total token count, needed to size the

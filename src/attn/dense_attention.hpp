@@ -1,9 +1,9 @@
 // Reference dense attention.
 //
-// These are the trusted oracles every sparse kernel is tested against and
-// the compute path of the dense baselines (vLLM-like). The prefill variant
-// is a naive O(N^2) row-softmax implementation; the decode variant walks a
-// full paged KV history.
+// These are the trusted oracles every sparse kernel is tested against; the
+// dense baselines (vLLM-like) run through the engine's paged walk like
+// every other policy. The prefill variant is a naive O(N^2) row-softmax
+// implementation; the decode variant walks a full paged KV history.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "attn/fused_attention.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <span>
@@ -8,14 +9,6 @@
 #include "numeric/math.hpp"
 
 namespace lserve::attn {
-namespace {
-
-float resolve_scale(float scale, std::size_t head_dim) {
-  if (scale != 0.0f) return scale;
-  return 1.0f / std::sqrt(static_cast<float>(head_dim));
-}
-
-}  // namespace
 
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,
@@ -28,11 +21,9 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
   const std::size_t kv_heads = cache.kv_heads();
   assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
   const std::size_t group = q_heads / kv_heads;
-  const float scale = resolve_scale(cfg.scale, head_dim);
-
-  BlockMask causal =
-      BlockMask::causal(n, cfg.tiling.tile_q, cfg.tiling.tile_k);
-  causal.finalize();
+  const std::size_t width = group * head_dim;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  std::vector<BlockMask> masks;
 
   for (std::size_t kvh = 0; kvh < kv_heads; ++kvh) {
     const bool streaming = cache.kind(layer, kvh) == kv::HeadKind::kStreaming;
@@ -45,40 +36,43 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                   : cache.dense_head(layer, kvh).tokens();
     assert(appended >= n);
     const std::size_t history_tokens = appended - n;
-    const std::size_t total_tokens =
-        cfg.total_tokens != 0 ? cfg.total_tokens : appended;
-    assert(total_tokens >= appended);
     // The table includes the chunk's own pages (and, for streaming heads,
-    // stale locals whose eviction is deferred to end of chunk); the
-    // kernels ignore entries at or past history_tokens.
+    // stale locals whose eviction is deferred to end of chunk); the walk
+    // ignores entries at or past history_tokens.
     const kv::SelectedPageTable history =
-        history_tokens == 0
-            ? kv::SelectedPageTable{}
-            : (streaming
-                   ? cache.streaming_head(layer, kvh).index_table()
-                   : kv::full_page_table(
-                         cache.dense_head(layer, kvh).view(dense_alloc)));
+        streaming ? cache.streaming_head(layer, kvh).index_table()
+                  : kv::full_page_table(
+                        cache.dense_head(layer, kvh).view(dense_alloc));
     const kv::PageAllocator& alloc = streaming ? stream_alloc : dense_alloc;
     const num::ConstMatView kh = k.cols_slice(kvh * head_dim, head_dim);
     const num::ConstMatView vh = v.cols_slice(kvh * head_dim, head_dim);
+    const num::ConstMatView qg = q.cols_slice(kvh * width, width);
+    const num::MatView og = out.cols_slice(kvh * width, width);
 
-    for (std::size_t g = 0; g < group; ++g) {
-      const std::size_t h = kvh * group + g;
-      const num::ConstMatView qh = q.cols_slice(h * head_dim, head_dim);
-      num::MatView oh = out.cols_slice(h * head_dim, head_dim);
-      if (streaming) {
-        chunked_prefill_streaming_head(alloc, history, history_tokens,
-                                       total_tokens, qh, kh, vh,
-                                       cfg.streaming, cfg.tiling, scale, oh);
-      } else if (cfg.dynamic_dense) {
-        const BlockMask dyn = sparse::build_dynamic_prefill_mask(
-            qh, kh, cfg.tiling, cfg.dynamic_cfg, scale);
-        chunked_prefill_head(alloc, history, history_tokens, qh, kh, vh, dyn,
-                             cfg.tiling, scale, oh);
-      } else {
-        chunked_prefill_head(alloc, history, history_tokens, qh, kh, vh,
-                             causal, cfg.tiling, scale, oh);
+    Visibility vis;
+    vis.tiling = cfg.tiling;
+    if (streaming) {
+      vis.kind = Visibility::Kind::kStreaming;
+      vis.streaming = cfg.streaming;
+      vis.total_tokens = cfg.total_tokens != 0 ? cfg.total_tokens : appended;
+      assert(vis.total_tokens >= appended);
+    } else if (cfg.dynamic_dense) {
+      masks.clear();
+      for (std::size_t g = 0; g < group; ++g) {
+        masks.push_back(sparse::build_dynamic_prefill_mask(
+            qg.cols_slice(g * head_dim, head_dim), kh, cfg.tiling,
+            cfg.dynamic_cfg, scale));
       }
+      vis.kind = Visibility::Kind::kBlockMask;
+      vis.masks = masks;
+    }
+    // One walk per q-tile keeps the group's accumulators cache-resident.
+    for (std::size_t row0 = 0; row0 < n; row0 += cfg.tiling.tile_q) {
+      const std::size_t rows = std::min(cfg.tiling.tile_q, n - row0);
+      paged_attention(alloc, history, history_tokens,
+                      {qg.rows_slice(row0, rows), og.rows_slice(row0, rows),
+                       history_tokens + row0, group},
+                      kh, vh, vis, scale);
     }
   }
 }
@@ -93,8 +87,11 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
   const std::size_t head_dim = q_heads.cols;
   const std::size_t kv_heads = cache.kv_heads();
   assert(q_heads.rows == kv_heads * group_size);
-  const float scale = resolve_scale(cfg.scale, head_dim);
+  assert(q_heads.stride == head_dim && out.stride == head_dim);
+  const std::size_t width = group_size * head_dim;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const std::size_t seq_tokens = cache.tokens();
+  assert(seq_tokens > 0);
 
   std::vector<float> group_q(head_dim);
   for (std::size_t kvh = 0; kvh < kv_heads; ++kvh) {
@@ -140,14 +137,15 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
         cache.kind(layer, kvh) == kv::HeadKind::kStreaming ? stream_alloc
                                                            : dense_alloc;
     // Tiered store: hint the whole selected table before the walk so the
-    // prefetcher can promote cold pages while the first group heads read
-    // hot ones (no-op when tiering is off).
+    // prefetcher can promote cold pages while the walk reads hot ones
+    // (no-op when tiering is off).
     alloc.prefetch(std::span<const kv::SelectedPage>(table));
-    for (std::size_t g = 0; g < group_size; ++g) {
-      const std::size_t h = kvh * group_size + g;
-      sparse_paged_decode(alloc, table, seq_tokens, q_heads.row(h), head_dim,
-                          scale, out.row(h), nullptr, stats);
-    }
+    const std::size_t h0 = kvh * group_size;
+    paged_attention(alloc, table, seq_tokens,
+                    {{q_heads.row(h0), 1, width, width},
+                     {out.row(h0), 1, width, width}, seq_tokens - 1,
+                     group_size},
+                    {}, {}, {}, scale, nullptr, stats);
   }
 }
 

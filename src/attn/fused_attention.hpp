@@ -1,22 +1,23 @@
 // Fused per-layer attention dispatch (LServe Fig 5, §3.4/§3.6).
 //
 // One call processes every query head of a layer, mixing sparsity patterns
-// per head exactly as the fused CUDA kernels do:
-//   prefill — dense (retrieval) heads run the unified block-sparse kernel
-//             with a causal or dynamically-estimated mask; streaming heads
-//             run it with the Λ mask.
-//   decode  — every head goes through the one sparse_paged_decode kernel;
-//             what differs is only the (possibly pruned) page table:
-//             full / selector output / sink+local index table.
+// per head exactly as the fused CUDA kernels do. Both stages run the one
+// paged_attention walk once per kv head, with the whole query group's
+// rows; what differs per head is only the page table and the visibility
+// rule:
+//   prefill — dense (retrieval) heads read the full table, causally or
+//             under a dynamically-estimated chunk mask; streaming heads
+//             read the sink+local index table under the Λ band.
+//   decode  — dense heads read the full table or the page selector's
+//             output; streaming heads the sink+local index table.
 // GQA is handled here: query head h reads kv head h / group_size, and the
 // page selector scores against the group's mean query (one selection per
-// kv head, shared by its query group).
+// kv head, shared by its query group). Scores use 1/sqrt(head_dim).
 #pragma once
 
 #include <cstddef>
 
 #include "attn/block_sparse_prefill.hpp"
-#include "attn/chunked_prefill.hpp"
 #include "attn/decode_attention.hpp"
 #include "attn/streaming_attention.hpp"
 #include "kv/two_way_cache.hpp"
@@ -31,7 +32,6 @@ namespace lserve::attn {
 struct FusedPrefillConfig {
   PrefillTiling tiling;
   StreamingBlocks streaming;          ///< Λ geometry for streaming heads.
-  float scale = 0.0f;                 ///< 0 => 1/sqrt(head_dim).
   bool dynamic_dense = false;         ///< MInference-style mask on dense heads.
   sparse::DynamicPrefillConfig dynamic_cfg;
   /// Full sequence length being prefilled (prompt tokens), used by
@@ -43,7 +43,6 @@ struct FusedPrefillConfig {
 
 /// Decode-stage policy for a layer.
 struct FusedDecodeConfig {
-  float scale = 0.0f;                 ///< 0 => 1/sqrt(head_dim).
   bool dynamic_dense = true;          ///< page pruning on dense heads.
   bool hierarchical = true;           ///< hierarchical vs flat page scoring.
   sparse::PageSelectorConfig selector;
@@ -70,7 +69,8 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const FusedPrefillConfig& cfg, num::MatView out);
 
 /// Fused decode over all heads of one layer.
-/// q_heads: [q_heads x head_dim] current-token queries; out same shape.
+/// q_heads: packed [q_heads x head_dim] current-token queries (stride
+/// head_dim, so a group's rows are contiguous); out same shape.
 /// `selector` may be null (then selection, if enabled, runs every step);
 /// `step` is the 0-based decode step used for reuse chunking.
 void fused_sparse_decode(const kv::PageAllocator& dense_alloc,

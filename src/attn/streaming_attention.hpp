@@ -1,11 +1,12 @@
 // Streaming-head attention (Λ-shaped mask: attention sinks + local window).
 //
-// Prefill for streaming heads is just the unified block-sparse kernel with
-// the streaming BlockMask; this header provides the convenience wrapper and
-// an exact token-granular reference used in tests. Decode for streaming
-// heads goes through the unified sparse decode kernel with the sink+local
-// index table produced by kv::StreamingHeadCache (§3.6), so no separate
-// decode kernel exists here — that is the point of the unification.
+// Serving never calls a streaming kernel of its own: both stages run the
+// one paged_attention walk (decode_attention.hpp) over the sink+local
+// index table produced by kv::StreamingHeadCache (§3.6) — decode causally,
+// prefill under the absolute-coordinate Λ visibility rule, whose geometry
+// is StreamingBlocks below. That is the point of the unification. This
+// header keeps the block-sparse Λ prefill and an exact token-granular
+// reference as test and bench oracles.
 #pragma once
 
 #include <cstddef>

@@ -167,7 +167,7 @@ void Engine::release_sequence(SequenceId id) {
   sequences_[id].reset();
 }
 
-attn::FusedPrefillConfig Engine::prefill_config(std::size_t n_tokens) const {
+attn::FusedPrefillConfig Engine::prefill_config() const {
   attn::FusedPrefillConfig pc;
   pc.tiling = cfg_.tiling;
   pc.streaming.sink_blocks =
@@ -177,8 +177,7 @@ attn::FusedPrefillConfig Engine::prefill_config(std::size_t n_tokens) const {
       std::max<std::size_t>(1, (cfg_.streaming.local_tokens +
                                 cfg_.tiling.tile_k - 1) /
                                    cfg_.tiling.tile_k);
-  pc.dynamic_dense = cfg_.dynamic_prefill &&
-                     n_tokens >= cfg_.dynamic_prefill_min_tokens;
+  pc.dynamic_dense = cfg_.dynamic_prefill;
   pc.dynamic_cfg = cfg_.dynamic_prefill_cfg;
   return pc;
 }
@@ -201,7 +200,7 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
   const std::size_t h = cfg_.model.hidden();
   const std::size_t kvd = cfg_.model.kv_dim();
   const std::size_t d = cfg_.model.head_dim;
-  attn::FusedPrefillConfig pc = prefill_config(n);
+  attn::FusedPrefillConfig pc = prefill_config();
   // Absolute Λ geometry: position + prefill_remaining is the full prompt
   // length regardless of how it is chunked or how much a prefix-cache
   // attach already covered.

@@ -51,7 +51,6 @@ struct EngineConfig {
   std::size_t prefill_chunk_tokens = 0;
   bool dynamic_prefill = false;  ///< MInference-style prefill mask.
   sparse::DynamicPrefillConfig dynamic_prefill_cfg;
-  std::size_t dynamic_prefill_min_tokens = 0;  ///< activate above this len.
 
   std::size_t pool_pages = 2048;  ///< initial page-pool capacity.
   std::uint64_t seed = 42;
@@ -283,11 +282,6 @@ class Engine {
   /// checks must discount.
   std::size_t prefix_cache_pages_held() const;
 
-  /// Null when EngineConfig::enable_prefix_cache is off.
-  const kv::PrefixCache* prefix_cache() const noexcept {
-    return prefix_cache_.get();
-  }
-
   /// Upper bound on new pages one decode step of one sequence can allocate
   /// (every head crosses a page boundary at once, since token counts are
   /// uniform across heads).
@@ -315,7 +309,7 @@ class Engine {
   /// partition change invalidates every cached page set.
   void rebuild_prefix_cache();
 
-  attn::FusedPrefillConfig prefill_config(std::size_t n_tokens) const;
+  attn::FusedPrefillConfig prefill_config() const;
   attn::FusedDecodeConfig decode_config(AttentionRoute route) const;
 
   /// Recounts dense_slots_/stream_slots_ from head_kinds_ (call after any

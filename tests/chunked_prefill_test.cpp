@@ -1,11 +1,14 @@
-// Tests for chunked prefill (src/attn/chunked_prefill + engine wiring).
+// Tests for chunked prefill (attn::fused_chunked_prefill + engine wiring).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <vector>
 
-#include "attn/chunked_prefill.hpp"
 #include "attn/dense_attention.hpp"
+#include "attn/fused_attention.hpp"
 #include "baselines/baseline_engines.hpp"
 #include "numeric/rng.hpp"
 #include "serve/engine.hpp"
@@ -13,24 +16,73 @@
 namespace lserve {
 namespace {
 
+void fill_gaussian(num::Rng& rng, std::initializer_list<num::Tensor*> ts) {
+  for (num::Tensor* t : ts) {
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
+  }
+}
+
+/// Prefills one layer through fused_chunked_prefill in the given chunk
+/// lengths, as the engine does: each chunk's K/V is written back first
+/// (round-tripped in place, so `k`/`v` end up holding the cached bits),
+/// then attended, then stale streaming pages are evicted. q: [n x
+/// q_heads*d], k/v: [n x kinds.size()*d]; returns [n x q_heads*d].
+num::Tensor prefill_in_chunks(const kv::PageConfig& pages,
+                              const std::vector<kv::HeadKind>& kinds,
+                              kv::StreamingConfig streaming,
+                              const attn::FusedPrefillConfig& cfg,
+                              const num::Tensor& q, num::Tensor& k,
+                              num::Tensor& v,
+                              const std::vector<std::size_t>& chunks) {
+  const std::size_t d = pages.head_dim;
+  kv::PageAllocator dense_alloc(pages, 64);
+  kv::PageAllocator stream_alloc(pages, 64);
+  kv::TwoWayKvCache cache(1, kinds.size(), kinds, streaming);
+  num::Tensor out(q.rows(), q.cols());
+  std::size_t begin = 0;
+  for (const std::size_t len : chunks) {
+    for (std::size_t t = begin; t < begin + len; ++t) {
+      for (std::size_t h = 0; h < kinds.size(); ++h) {
+        cache.append_roundtrip(dense_alloc, stream_alloc, 0, h,
+                               k.row(t) + h * d, v.row(t) + h * d);
+      }
+    }
+    attn::fused_chunked_prefill(
+        dense_alloc, stream_alloc, cache, 0, q.view().rows_slice(begin, len),
+        k.view().rows_slice(begin, len), v.view().rows_slice(begin, len), d,
+        cfg, out.view().rows_slice(begin, len));
+    cache.evict_stale(stream_alloc, 0);
+    begin += len;
+  }
+  EXPECT_EQ(begin, q.rows());
+  cache.release(dense_alloc, stream_alloc);
+  return out;
+}
+
+kv::PageConfig page_config(std::size_t page_size, std::size_t d,
+                           num::KvDtype dtype = num::KvDtype::kFp16) {
+  kv::PageConfig pages;
+  pages.page_size = page_size;
+  pages.logical_page_size = page_size;
+  pages.head_dim = d;
+  pages.dtype = dtype;
+  return pages;
+}
+
 TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBlockSparsePrefill) {
   const std::size_t n = 64, d = 16;
   num::Rng rng(1);
-  num::Tensor q(n, d), k(n, d), v(n, d), a(n, d), b(n, d);
-  for (auto* t : {&q, &k, &v}) {
-    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
-  }
+  num::Tensor q(n, d), k(n, d), v(n, d), a(n, d);
+  fill_gaussian(rng, {&q, &k, &v});
+  attn::FusedPrefillConfig cfg;
+  cfg.tiling = {16, 16};
+  const num::Tensor b =
+      prefill_in_chunks(page_config(16, d), {kv::HeadKind::kDense}, {},
+                        cfg, q, k, v, {n});
   attn::BlockMask mask = attn::BlockMask::causal(n, 16, 16);
   mask.finalize();
-  kv::PageConfig pages;
-  pages.page_size = 16;
-  pages.logical_page_size = 16;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 2);
   attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, {16, 16},
                              0.25f, a.view());
-  attn::chunked_prefill_head(alloc, {}, 0, q.view(), k.view(), v.view(),
-                             mask, {16, 16}, 0.25f, b.view());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
@@ -42,34 +94,17 @@ TEST(ChunkedPrefillKernel, HistoryPlusChunkEqualsMonolithic) {
   const std::size_t total = 48, hist = 32, d = 16;
   num::Rng rng(2);
   num::Tensor q(total, d), k(total, d), v(total, d), mono(total, d);
-  for (auto* t : {&q, &k, &v}) {
-    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
-  }
+  fill_gaussian(rng, {&q, &k, &v});
+  attn::FusedPrefillConfig cfg;
+  cfg.tiling = {8, 8};
+  const num::Tensor out =
+      prefill_in_chunks(page_config(8, d), {kv::HeadKind::kDense}, {}, cfg,
+                        q, k, v, {hist, total - hist});
   attn::dense_prefill_reference(q.view(), k.view(), v.view(), 0.25f,
                                 mono.view());
-
-  kv::PageConfig pages;
-  pages.page_size = 8;
-  pages.logical_page_size = 8;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 8);
-  kv::HeadCache head;
-  for (std::size_t t = 0; t < hist; ++t) {
-    head.append(alloc, k.row(t), v.row(t));
-  }
-  const auto history = kv::full_page_table(head.view(alloc));
-
-  const std::size_t chunk = total - hist;
-  attn::BlockMask mask = attn::BlockMask::causal(chunk, 8, 8);
-  mask.finalize();
-  num::Tensor out(chunk, d);
-  attn::chunked_prefill_head(
-      alloc, history, hist, q.view().rows_slice(hist, chunk),
-      k.view().rows_slice(hist, chunk), v.view().rows_slice(hist, chunk),
-      mask, {8, 8}, 0.25f, out.view());
-  for (std::size_t r = 0; r < chunk; ++r) {
+  for (std::size_t r = hist; r < total; ++r) {
     for (std::size_t c = 0; c < d; ++c) {
-      EXPECT_NEAR(out.at(r, c), mono.at(hist + r, c), 1e-4f) << "row " << r;
+      EXPECT_NEAR(out.at(r, c), mono.at(r, c), 1e-4f) << "row " << r;
     }
   }
 }
@@ -79,31 +114,55 @@ TEST(ChunkedPrefillKernel, PartialHistoryPageHandled) {
   const std::size_t hist = 19, chunk = 8, d = 8;
   num::Rng rng(3);
   num::Tensor q(hist + chunk, d), k(hist + chunk, d), v(hist + chunk, d);
-  for (auto* t : {&q, &k, &v}) {
-    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
-  }
+  fill_gaussian(rng, {&q, &k, &v});
+  attn::FusedPrefillConfig cfg;
+  cfg.tiling = {8, 8};
+  const num::Tensor out =
+      prefill_in_chunks(page_config(8, d), {kv::HeadKind::kDense}, {}, cfg,
+                        q, k, v, {hist, chunk});
   num::Tensor mono(hist + chunk, d);
-  attn::dense_prefill_reference(q.view(), k.view(), v.view(), 0.354f,
+  attn::dense_prefill_reference(q.view(), k.view(), v.view(),
+                                1.0f / std::sqrt(static_cast<float>(d)),
                                 mono.view());
-  kv::PageConfig pages;
-  pages.page_size = 8;
-  pages.logical_page_size = 8;
-  pages.head_dim = d;
-  kv::PageAllocator alloc(pages, 8);
-  kv::HeadCache head;
-  for (std::size_t t = 0; t < hist; ++t) head.append(alloc, k.row(t),
-                                                     v.row(t));
-  attn::BlockMask mask = attn::BlockMask::causal(chunk, 8, 8);
-  mask.finalize();
-  num::Tensor out(chunk, d);
-  attn::chunked_prefill_head(alloc, kv::full_page_table(head.view(alloc)),
-                             hist, q.view().rows_slice(hist, chunk),
-                             k.view().rows_slice(hist, chunk),
-                             v.view().rows_slice(hist, chunk), mask, {8, 8},
-                             0.354f, out.view());
-  for (std::size_t r = 0; r < chunk; ++r) {
+  for (std::size_t r = hist; r < hist + chunk; ++r) {
     for (std::size_t c = 0; c < d; ++c) {
-      EXPECT_NEAR(out.at(r, c), mono.at(hist + r, c), 1e-4f);
+      EXPECT_NEAR(out.at(r, c), mono.at(r, c), 1e-4f);
+    }
+  }
+}
+
+// One dense and one streaming kv head, GQA group 2, int4 pages and a Λ
+// window (sink 8 + local 16 tokens) shorter than the 61-token prompt:
+// prefilling in uneven, non-tile-aligned chunks reproduces every row of
+// the whole-prompt prefill bit for bit.
+TEST(ChunkedPrefillKernel, UnevenChunksBitEqualWholePromptAcrossHeadKinds) {
+  const std::size_t n = 61, d = 16, kv_heads = 2, group = 2;
+  const std::vector<kv::HeadKind> kinds{kv::HeadKind::kDense,
+                                        kv::HeadKind::kStreaming};
+  const kv::StreamingConfig streaming{/*sink_tokens=*/8, /*local_tokens=*/16};
+  num::Rng rng(4);
+  num::Tensor q(n, kv_heads * group * d), k(n, kv_heads * d),
+      v(n, kv_heads * d);
+  fill_gaussian(rng, {&q, &k, &v});
+  attn::FusedPrefillConfig cfg;
+  // 16-row q-tiles over 8-token k-tiles: a chunk ending inside a q-tile
+  // must still clamp the Λ diagonal at the prompt end, not the chunk end.
+  cfg.tiling = {16, 8};
+  cfg.streaming = {/*sink_blocks=*/1, /*local_blocks=*/2};
+  cfg.total_tokens = n;
+  const kv::PageConfig pages = page_config(8, d, num::KvDtype::kInt4);
+
+  num::Tensor k_whole = k, v_whole = v;
+  const num::Tensor whole =
+      prefill_in_chunks(pages, kinds, streaming, cfg, q, k_whole, v_whole,
+                        {n});
+  const num::Tensor chunked = prefill_in_chunks(
+      pages, kinds, streaming, cfg, q, k, v, {5, 13, 11, 9, 16, 7});
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < q.cols(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(chunked.at(r, c)),
+                std::bit_cast<std::uint32_t>(whole.at(r, c)))
+          << "row " << r << " col " << c;
     }
   }
 }

@@ -2,7 +2,9 @@
 // and the fused per-layer dispatch (src/attn/fused_attention).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "attn/decode_attention.hpp"
@@ -159,40 +161,63 @@ TEST(SparseDecode, QuantizedKvWithinErrorBound) {
 }
 
 // Fused decode: every head flavour goes through one kernel; a config with
-// no sparsity must equal per-head dense decode exactly.
+// no sparsity must equal per-head dense decode, and the grouped walk must
+// reproduce a per-head sparse_paged_decode over the same table bit for bit
+// (int4 pages, group 2 and 4).
 TEST(FusedDecode, AllDenseMatchesPerHeadDense) {
-  const std::size_t layers = 1, kv_heads = 2, group = 2, d = 16;
-  kv::PageAllocator dense_alloc(cfg(), 64);
-  kv::PageAllocator stream_alloc(cfg(), 64);
-  kv::TwoWayKvCache cache(layers, kv_heads,
-                          {kv::HeadKind::kDense, kv::HeadKind::kDense},
-                          {8, 16});
-  num::Rng rng(31);
-  for (std::size_t t = 0; t < 40; ++t) {
-    for (std::size_t h = 0; h < kv_heads; ++h) {
-      std::vector<float> k(d), v(d);
-      rng.fill_gaussian(k, 1.0f);
-      rng.fill_gaussian(v, 1.0f);
-      cache.append(dense_alloc, stream_alloc, 0, h, k.data(), v.data());
+  struct Case {
+    num::KvDtype dtype;
+    std::size_t group;
+  };
+  for (const Case& tc : {Case{num::KvDtype::kFp16, 2},
+                         Case{num::KvDtype::kInt4, 2},
+                         Case{num::KvDtype::kInt4, 4}}) {
+    SCOPED_TRACE(testing::Message() << "group " << tc.group << " dtype "
+                                    << static_cast<int>(tc.dtype));
+    const std::size_t layers = 1, kv_heads = 2, group = tc.group, d = 16;
+    kv::PageAllocator dense_alloc(cfg(tc.dtype), 64);
+    kv::PageAllocator stream_alloc(cfg(tc.dtype), 64);
+    kv::TwoWayKvCache cache(layers, kv_heads,
+                            {kv::HeadKind::kDense, kv::HeadKind::kDense},
+                            {8, 16});
+    num::Rng rng(31);
+    for (std::size_t t = 0; t < 40; ++t) {
+      for (std::size_t h = 0; h < kv_heads; ++h) {
+        std::vector<float> k(d), v(d);
+        rng.fill_gaussian(k, 1.0f);
+        rng.fill_gaussian(v, 1.0f);
+        cache.append(dense_alloc, stream_alloc, 0, h, k.data(), v.data());
+      }
     }
-  }
-  num::Tensor q(kv_heads * group, d);
-  for (std::size_t i = 0; i < q.size(); ++i) q.data()[i] = rng.gaussian();
+    num::Tensor q(kv_heads * group, d);
+    for (std::size_t i = 0; i < q.size(); ++i) q.data()[i] = rng.gaussian();
 
-  FusedDecodeConfig fc;
-  fc.dynamic_dense = false;
-  num::Tensor out(kv_heads * group, d);
-  fused_sparse_decode(dense_alloc, stream_alloc, cache, 0, q.view(), group,
-                      nullptr, 0, fc, out.view());
+    FusedDecodeConfig fc;
+    fc.dynamic_dense = false;
+    num::Tensor out(kv_heads * group, d);
+    DecodeWorkStats stats;
+    fused_sparse_decode(dense_alloc, stream_alloc, cache, 0, q.view(), group,
+                        nullptr, 0, fc, out.view(), &stats);
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  for (std::size_t h = 0; h < kv_heads * group; ++h) {
-    std::vector<float> ref(d);
-    dense_paged_decode(dense_alloc, cache.dense_head(0, h / group), q.row(h),
-                       d, scale, ref.data());
-    for (std::size_t c = 0; c < d; ++c) {
-      EXPECT_NEAR(out.at(h, c), ref[c], 1e-5f);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    DecodeWorkStats per_head_stats;
+    for (std::size_t h = 0; h < kv_heads * group; ++h) {
+      const kv::HeadCache& head = cache.dense_head(0, h / group);
+      std::vector<float> ref(d), per_head(d);
+      dense_paged_decode(dense_alloc, head, q.row(h), d, scale, ref.data());
+      const auto table = kv::full_page_table(head.view(dense_alloc));
+      sparse_paged_decode(dense_alloc, table, cache.tokens(), q.row(h), d,
+                          scale, per_head.data(), nullptr, &per_head_stats);
+      for (std::size_t c = 0; c < d; ++c) {
+        EXPECT_NEAR(out.at(h, c), ref[c], 1e-5f);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(out.at(h, c)),
+                  std::bit_cast<std::uint32_t>(per_head[c]))
+            << "head " << h << " col " << c;
+      }
     }
+    EXPECT_EQ(stats.pages_visited, per_head_stats.pages_visited);
+    EXPECT_EQ(stats.tokens_visited, per_head_stats.tokens_visited);
+    EXPECT_EQ(stats.tokens_visited, kv_heads * group * 40);
   }
 }
 
