@@ -157,8 +157,8 @@ def check_file(path: Path, findings: list[str]) -> None:
                 if RE_PAGE_MEMBER.match(code):
                     findings.append(
                         f"{rel}:{lineno}: page-pinning: Page pointer/"
-                        "reference stored as a member (store a PageId or "
-                        "PageRef; pin at the point of use)")
+                        "reference stored as a member (store a PageId; "
+                        "pin at the point of use)")
 
         # R6: NOLINT must be targeted and justified (checked in raw line —
         # NOLINT lives in comments).

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <span>
 
+#include "attn/block_sparse_prefill.hpp"
 #include "attn/streaming_attention.hpp"
 #include "kv/page_allocator.hpp"
 #include "kv/page_table.hpp"

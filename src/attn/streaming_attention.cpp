@@ -1,21 +1,11 @@
 #include "attn/streaming_attention.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <vector>
 
 #include "numeric/math.hpp"
 
 namespace lserve::attn {
-
-void streaming_prefill(num::ConstMatView q, num::ConstMatView k,
-                       num::ConstMatView v, StreamingBlocks sb,
-                       PrefillTiling tiling, float scale, num::MatView out) {
-  BlockMask mask = BlockMask::streaming(q.rows, tiling.tile_q, tiling.tile_k,
-                                        sb.sink_blocks, sb.local_blocks);
-  mask.finalize();
-  block_sparse_prefill(q, k, v, mask, tiling, scale, out);
-}
 
 void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
                                  num::ConstMatView v, std::size_t sink_tokens,
@@ -42,21 +32,6 @@ void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
       num::axpy(scores[t], v.row(cols[t]), oi, d);
     }
   }
-}
-
-double streaming_cost_fraction(std::size_t n_tokens, std::size_t sink_tokens,
-                               std::size_t local_tokens) noexcept {
-  if (n_tokens == 0) return 1.0;
-  double kept = 0.0;
-  double causal = 0.0;
-  for (std::size_t i = 0; i < n_tokens; ++i) {
-    causal += static_cast<double>(i + 1);
-    const std::size_t local = std::min<std::size_t>(local_tokens, i + 1);
-    const std::size_t sink =
-        std::min<std::size_t>(sink_tokens, (i + 1) - local);
-    kept += static_cast<double>(sink + local);
-  }
-  return kept / causal;
 }
 
 }  // namespace lserve::attn

@@ -4,14 +4,14 @@
 // one paged_attention walk (decode_attention.hpp) over the sink+local
 // index table produced by kv::StreamingHeadCache (§3.6) — decode causally,
 // prefill under the absolute-coordinate Λ visibility rule, whose geometry
-// is StreamingBlocks below. That is the point of the unification. This
-// header keeps the block-sparse Λ prefill and an exact token-granular
-// reference as test and bench oracles.
+// is StreamingBlocks below. That is the point of the unification. A
+// block-granular Λ prefill outside serving is block_sparse_prefill under
+// BlockMask::streaming; this header keeps only the exact token-granular
+// reference, which the head classifier runs as its streaming output.
 #pragma once
 
 #include <cstddef>
 
-#include "attn/block_sparse_prefill.hpp"
 #include "numeric/tensor.hpp"
 
 namespace lserve::attn {
@@ -22,23 +22,12 @@ struct StreamingBlocks {
   std::size_t local_blocks = 2;
 };
 
-/// Streaming prefill for one head via the unified block-sparse kernel.
-void streaming_prefill(num::ConstMatView q, num::ConstMatView k,
-                       num::ConstMatView v, StreamingBlocks sb,
-                       PrefillTiling tiling, float scale, num::MatView out);
-
 /// Token-granular reference: row i attends to keys j <= i with
-/// (j < sink_tokens) or (j + local_tokens > i). Tests compare the block
-/// kernel against this with block-aligned sink/local sizes.
+/// (j < sink_tokens) or (j + local_tokens > i). The head classifier
+/// measures each head's Λ-mask distortion against dense attention with it.
 void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
                                  num::ConstMatView v, std::size_t sink_tokens,
                                  std::size_t local_tokens, float scale,
                                  num::MatView out);
-
-/// Per-token compute of a streaming head relative to dense causal attention
-/// at sequence length n (for the "nearly free" accounting): kept / causal
-/// key-token pairs.
-double streaming_cost_fraction(std::size_t n_tokens, std::size_t sink_tokens,
-                               std::size_t local_tokens) noexcept;
 
 }  // namespace lserve::attn

@@ -445,20 +445,10 @@ std::size_t PageAllocator::pages_in_use() const noexcept {
   return in_use_;
 }
 
-std::size_t PageAllocator::peak_pages_in_use() const noexcept {
-  MutexLock lock(mu_);
-  return peak_in_use_;
-}
-
 std::size_t PageAllocator::hot_pages_in_use() const noexcept {
   if (!tier_.enabled()) return pages_in_use();
   MutexLock lock(tier_mu_);
   return hot_in_use_;
-}
-
-std::size_t PageAllocator::free_pages() const noexcept {
-  MutexLock lock(mu_);
-  return total_slots_ - in_use_;
 }
 
 PageAllocator::Occupancy PageAllocator::occupancy() const noexcept {

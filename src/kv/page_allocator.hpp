@@ -17,9 +17,9 @@
 // copied verbatim, so tiering on ≡ tiering off for every output.
 //
 // Page access is pin-based: callers never hold a raw Page& across
-// statements they don't control. PageRef is the copyable tier-aware
-// handle; PagePin / PageWritePin are RAII resolutions that keep the page
-// hot (and demotion-protected) for exactly the scope of the access:
+// statements they don't control. Tables hold PageIds; PagePin /
+// PageWritePin are RAII resolutions that keep the page hot (and
+// demotion-protected) for exactly the scope of the access:
 //
 //   kv::PagePin pin = alloc.pin(id);        // promotes if cold
 //   pin.page().load_key(slot, out);         // Page& valid inside the scope
@@ -95,17 +95,20 @@ struct TierStats {
   std::uint64_t pin_promotions = 0;      ///< synchronous pin-miss fallback.
 };
 
-/// RAII read pin: resolves a PageId to a Page that stays hot (and
-/// demotion-protected) until the pin is destroyed. Move-only.
-class PagePin {
+/// RAII page pin: resolves a PageId to a Page that stays hot (and
+/// demotion-protected) until the pin is destroyed. Move-only. PagePin is
+/// the read pin; PageWritePin resolves to a mutable Page (append /
+/// copy-on-write paths) and its holder must own the page exclusively.
+template <class PageT>
+class BasicPagePin {
  public:
-  PagePin() = default;
-  PagePin(PagePin&& o) noexcept
+  BasicPagePin() = default;
+  BasicPagePin(BasicPagePin&& o) noexcept
       : alloc_(o.alloc_), page_(o.page_), id_(o.id_) {
     o.alloc_ = nullptr;
     o.page_ = nullptr;
   }
-  PagePin& operator=(PagePin&& o) noexcept {
+  BasicPagePin& operator=(BasicPagePin&& o) noexcept {
     if (this != &o) {
       reset();
       alloc_ = o.alloc_;
@@ -116,12 +119,12 @@ class PagePin {
     }
     return *this;
   }
-  PagePin(const PagePin&) = delete;
-  PagePin& operator=(const PagePin&) = delete;
-  ~PagePin() { reset(); }
+  BasicPagePin(const BasicPagePin&) = delete;
+  BasicPagePin& operator=(const BasicPagePin&) = delete;
+  ~BasicPagePin() { reset(); }
 
-  const Page& page() const noexcept { return *page_; }
-  const Page* operator->() const noexcept { return page_; }
+  PageT& page() const noexcept { return *page_; }
+  PageT* operator->() const noexcept { return page_; }
   PageId id() const noexcept { return id_; }
   bool valid() const noexcept { return page_ != nullptr; }
   /// Unpins early (the destructor is then a no-op).
@@ -129,74 +132,16 @@ class PagePin {
 
  private:
   friend class PageAllocator;
-  PagePin(const PageAllocator* alloc, const Page* page, PageId id) noexcept
+  BasicPagePin(const PageAllocator* alloc, PageT* page, PageId id) noexcept
       : alloc_(alloc), page_(page), id_(id) {}
 
   const PageAllocator* alloc_ = nullptr;
-  const Page* page_ = nullptr;
+  PageT* page_ = nullptr;
   PageId id_ = kInvalidPage;
 };
 
-/// RAII write pin: like PagePin but resolves to a mutable Page (append /
-/// copy-on-write paths). The holder must own the page exclusively.
-class PageWritePin {
- public:
-  PageWritePin() = default;
-  PageWritePin(PageWritePin&& o) noexcept
-      : alloc_(o.alloc_), page_(o.page_), id_(o.id_) {
-    o.alloc_ = nullptr;
-    o.page_ = nullptr;
-  }
-  PageWritePin& operator=(PageWritePin&& o) noexcept {
-    if (this != &o) {
-      reset();
-      alloc_ = o.alloc_;
-      page_ = o.page_;
-      id_ = o.id_;
-      o.alloc_ = nullptr;
-      o.page_ = nullptr;
-    }
-    return *this;
-  }
-  PageWritePin(const PageWritePin&) = delete;
-  PageWritePin& operator=(const PageWritePin&) = delete;
-  ~PageWritePin() { reset(); }
-
-  Page& page() const noexcept { return *page_; }
-  Page* operator->() const noexcept { return page_; }
-  PageId id() const noexcept { return id_; }
-  bool valid() const noexcept { return page_ != nullptr; }
-  inline void reset() noexcept;
-
- private:
-  friend class PageAllocator;
-  PageWritePin(const PageAllocator* alloc, Page* page, PageId id) noexcept
-      : alloc_(alloc), page_(page), id_(id) {}
-
-  const PageAllocator* alloc_ = nullptr;
-  Page* page_ = nullptr;
-  PageId id_ = kInvalidPage;
-};
-
-/// Copyable tier-aware page handle: (allocator, id) without a resolved
-/// Page&. The public replacement for the old stable-for-life `get()`
-/// reference — hold PageRefs freely, pin() only for the access scope.
-class PageRef {
- public:
-  PageRef() = default;
-  PageRef(const PageAllocator& alloc, PageId id) noexcept
-      : alloc_(&alloc), id_(id) {}
-
-  PageId id() const noexcept { return id_; }
-  bool valid() const noexcept {
-    return alloc_ != nullptr && id_ != kInvalidPage;
-  }
-  inline PagePin pin() const;
-
- private:
-  const PageAllocator* alloc_ = nullptr;
-  PageId id_ = kInvalidPage;
-};
+using PagePin = BasicPagePin<const Page>;
+using PageWritePin = BasicPagePin<Page>;
 
 /// Fixed-config page pool with O(1) allocate/release and an optional
 /// spill tier.
@@ -249,9 +194,6 @@ class PageAllocator {
     return PageWritePin(this, &get(id), id);
   }
 
-  /// Copyable handle for `id` (pin later, at the access site).
-  PageRef ref(PageId id) const noexcept { return PageRef(*this, id); }
-
   /// Records the sparse selector's per-page scores: lower score = colder
   /// = demoted first. Pages without a score fall back to least-recently-
   /// pinned order. No-op (and lock-free) in single-tier mode.
@@ -266,7 +208,6 @@ class PageAllocator {
   void prefetch(std::span<const SelectedPage> table) const;
 
   bool tiered() const noexcept { return tier_.enabled(); }
-  const TierConfig& tier_config() const noexcept { return tier_; }
   /// Tier telemetry snapshot (zeros when tiering is off). Thread-safe.
   TierStats tier_stats() const noexcept;
   /// Exposes the tier counters on `registry` as lserve_tier_*_total.
@@ -275,14 +216,9 @@ class PageAllocator {
   const PageConfig& config() const noexcept { return cfg_; }
   std::size_t capacity() const noexcept;
   std::size_t pages_in_use() const noexcept;
-  std::size_t peak_pages_in_use() const noexcept;
   /// Live pages with resident (hot) storage — what admission control
   /// charges in tiered mode. Equals pages_in_use() when tiering is off.
   std::size_t hot_pages_in_use() const noexcept;
-  /// Pages currently on the free list (capacity() - pages_in_use()).
-  /// Occupancy query for scheduler-level admission control; note the pool
-  /// still grows on demand, so 0 free pages does not make allocate() fail.
-  std::size_t free_pages() const noexcept;
   /// Pages needed to hold `tokens` tokens for one head (ceil division).
   std::size_t pages_for_tokens(std::size_t tokens) const noexcept {
     return (tokens + cfg_.page_size - 1) / cfg_.page_size;
@@ -319,9 +255,8 @@ class PageAllocator {
   std::size_t audit_pinned_pages() const { return auditor_.pinned_pages(); }
 
  private:
-  friend class PagePin;
-  friend class PageWritePin;
-  friend class PageRef;
+  template <class PageT>
+  friend class BasicPagePin;
 
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
@@ -341,7 +276,7 @@ class PageAllocator {
   };
 
   /// Raw slot lookup (no tier handling). Internal: external access goes
-  /// through pin()/pin_mut()/ref() so it can never outlive residency.
+  /// through pin()/pin_mut() so it can never outlive residency.
   Page& get(PageId id) noexcept {
     return chunks_[id >> kChunkShift].load(std::memory_order_acquire)
         [id & kChunkMask];
@@ -442,18 +377,11 @@ class PageAllocator {
   [[no_unique_address]] mutable PageAuditor auditor_;
 };
 
-inline void PagePin::reset() noexcept {
+template <class PageT>
+inline void BasicPagePin<PageT>::reset() noexcept {
   if (alloc_ != nullptr) alloc_->unpin(id_);
   alloc_ = nullptr;
   page_ = nullptr;
 }
-
-inline void PageWritePin::reset() noexcept {
-  if (alloc_ != nullptr) alloc_->unpin(id_);
-  alloc_ = nullptr;
-  page_ = nullptr;
-}
-
-inline PagePin PageRef::pin() const { return alloc_->pin(id_); }
 
 }  // namespace lserve::kv

@@ -21,18 +21,6 @@ PrefixCache::PrefixCache(PageAllocator& dense, PageAllocator& stream,
 
 PrefixCache::~PrefixCache() { clear(); }
 
-std::size_t PrefixCache::sink_blocks() const noexcept {
-  return (cfg_.streaming.sink_tokens + page_size_ - 1) / page_size_;
-}
-
-bool PrefixCache::stream_block_retained(std::size_t block,
-                                        std::size_t depth) const {
-  // Mirrors StreamingHeadCache eviction: block b dies once
-  // tokens >= local_tokens + (b+1)*NP; sinks never die.
-  return block < sink_blocks() ||
-         depth < cfg_.streaming.local_tokens + (block + 1) * page_size_;
-}
-
 PrefixCache::Match PrefixCache::match_locked(
     std::span<const std::int32_t> prompt, std::size_t max_tokens) const {
   Match m;
@@ -79,7 +67,8 @@ bool PrefixCache::feasible_locked(const Match& m, std::size_t depth) const {
   const std::size_t blocks = (depth + page_size_ - 1) / page_size_;
   assert(blocks <= m.srcs.size());
   for (std::size_t b = 0; b < blocks; ++b) {
-    if (stream_block_retained(b, depth) && !m.srcs[b]->has_stream) {
+    if (cfg_.streaming.retains(b, depth, page_size_) &&
+        !m.srcs[b]->has_stream) {
       return false;
     }
   }
@@ -123,7 +112,7 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
     return id;
   };
 
-  const std::size_t sinks_end = sink_blocks();
+  const std::size_t sinks_end = cfg_.streaming.sink_blocks(page_size_);
   for (std::size_t layer = 0; layer < cfg_.layers; ++layer) {
     for (std::size_t h = 0; h < cfg_.kv_heads; ++h) {
       const std::size_t slot = layer * cfg_.kv_heads + h;
@@ -146,7 +135,7 @@ std::size_t PrefixCache::attach(std::span<const std::int32_t> prompt,
         std::vector<PageId> sinks;
         std::vector<std::pair<std::uint32_t, PageId>> locals;
         for (std::size_t b = 0; b < blocks; ++b) {
-          if (!stream_block_retained(b, depth)) continue;
+          if (!cfg_.streaming.retains(b, depth, page_size_)) continue;
           const bool is_tail = tail > 0 && b == full_blocks;
           PageId id = m.srcs[b]->pages[slot];
           assert(id != kInvalidPage);

@@ -146,10 +146,6 @@ class PrefixCache {
   /// Deepest feasible attach depth for `m` (full depth, else block
   /// boundaries descending, else 0).
   std::size_t best_depth_locked(const Match& m) const REQUIRES(mu_);
-  /// Logical block b's page set survives at token depth D in a streaming
-  /// head (sink, or still inside the local window).
-  bool stream_block_retained(std::size_t block, std::size_t depth) const;
-  std::size_t sink_blocks() const noexcept;
 
   /// Removes `leaf` from the tree, releasing its page references.
   /// Returns pages actually freed (refcount was 1). Bumps evictions.

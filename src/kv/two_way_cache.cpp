@@ -8,8 +8,7 @@ namespace lserve::kv {
 PageWritePin StreamingHeadCache::append_page(PageAllocator& alloc,
                                              const StreamingConfig& cfg) {
   const std::size_t page_size = alloc.config().page_size;
-  const std::size_t sink_blocks =
-      (cfg.sink_tokens + page_size - 1) / page_size;
+  const std::size_t sink_blocks = cfg.sink_blocks(page_size);
   const std::uint32_t block = static_cast<std::uint32_t>(tokens_ / page_size);
 
   if (tokens_ % page_size == 0) {
@@ -42,19 +41,11 @@ void StreamingHeadCache::append_roundtrip(PageAllocator& alloc,
 void StreamingHeadCache::evict_stale(PageAllocator& alloc,
                                      const StreamingConfig& cfg) {
   // Evict local pages whose entire block now precedes the local window.
-  // Block b covers tokens [b*NP, (b+1)*NP); it is dead once its last token
-  // is older than tokens_ - local_tokens.
   const std::size_t page_size = alloc.config().page_size;
-  while (!local_pages_.empty()) {
-    const LocalPage& oldest = local_pages_.front();
-    const std::size_t block_end =
-        (static_cast<std::size_t>(oldest.block) + 1) * page_size;
-    if (tokens_ >= cfg.local_tokens + block_end) {
-      alloc.release(oldest.page);
-      local_pages_.pop_front();
-    } else {
-      break;
-    }
+  while (!local_pages_.empty() &&
+         !cfg.retains(local_pages_.front().block, tokens_, page_size)) {
+    alloc.release(local_pages_.front().page);
+    local_pages_.pop_front();
   }
 }
 

@@ -29,11 +29,25 @@ enum class HeadKind : std::uint8_t {
   kStreaming = 1,  ///< streaming head: Λ mask (sinks + local window).
 };
 
-/// Λ-mask geometry for streaming heads, in tokens. Both quantities are
-/// rounded up to whole pages internally.
+/// Λ-mask geometry for streaming heads, in tokens, and the one page rule
+/// every module that reasons about streaming pages (the head cache, the
+/// prefix cache, admission estimates) derives from it.
 struct StreamingConfig {
   std::size_t sink_tokens = 128;
   std::size_t local_tokens = 512;
+
+  /// Leading blocks of `page_size` tokens that hold sinks (never evicted).
+  std::size_t sink_blocks(std::size_t page_size) const noexcept {
+    return (sink_tokens + page_size - 1) / page_size;
+  }
+  /// True while a streaming head that has seen `tokens` tokens still holds
+  /// logical block `block`: sinks always, a local block until its last
+  /// token is local_tokens or more behind the newest.
+  bool retains(std::size_t block, std::size_t tokens,
+               std::size_t page_size) const noexcept {
+    return block < sink_blocks(page_size) ||
+           tokens < local_tokens + (block + 1) * page_size;
+  }
 };
 
 /// KV storage of one streaming head: sink pages plus a ring of local pages.
@@ -108,9 +122,6 @@ class TwoWayKvCache {
   std::size_t kv_heads() const noexcept { return kv_heads_; }
   HeadKind kind(std::size_t layer, std::size_t h) const noexcept {
     return kinds_[layer * kv_heads_ + h];
-  }
-  const StreamingConfig& streaming_config() const noexcept {
-    return streaming_cfg_;
   }
 
   /// Appends one token's K/V for one (layer, head); `dense_alloc` and

@@ -53,17 +53,6 @@ void softmax_inplace(float* row, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) row[i] *= inv;
 }
 
-void matmul_abt(ConstMatView a, ConstMatView b, MatView c) noexcept {
-  assert(a.cols == b.cols && c.rows == a.rows && c.cols == b.rows);
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const float* ai = a.row(i);
-    float* ci = c.row(i);
-    for (std::size_t j = 0; j < b.rows; ++j) {
-      ci[j] = dot(ai, b.row(j), a.cols);
-    }
-  }
-}
-
 void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept {
   assert(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols);
   for (std::size_t i = 0; i < c.rows; ++i) {

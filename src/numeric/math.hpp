@@ -34,11 +34,6 @@ float cosine_similarity(const float* a, const float* b, std::size_t n) noexcept;
 /// In-place numerically-stable softmax over a row.
 void softmax_inplace(float* row, std::size_t n) noexcept;
 
-/// C = A * B^T. A is m x k, B is n x k, C is m x n (row-major views).
-/// Blocked over k for cache friendliness; this is the reference GEMM used by
-/// projections in the model substrate.
-void matmul_abt(ConstMatView a, ConstMatView b, MatView c) noexcept;
-
 /// C = A * B. A is m x k, B is k x n, C is m x n.
 void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept;
 

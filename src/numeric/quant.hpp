@@ -98,11 +98,6 @@ class QuantizedRows {
   /// Restores a buffer of identical geometry/dtype from serialize() output.
   void deserialize(const std::uint8_t* in) noexcept;
 
-  /// Direct fp32 access when dtype == kFp16 (hot-path shortcut).
-  const float* fp_row(std::size_t r) const noexcept;
-
-  QuantParams params(std::size_t r) const noexcept { return params_[r]; }
-
   /// Payload bytes this buffer would occupy on a real device.
   double device_bytes() const noexcept;
 

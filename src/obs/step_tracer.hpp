@@ -61,8 +61,6 @@ class StepTraceBuilder {
   StepTraceBuilder(StepTraceBuilder&&) = default;
   StepTraceBuilder& operator=(StepTraceBuilder&&) = default;
 
-  bool active() const noexcept { return clock_ != nullptr; }
-
   /// RAII phase span: records start at construction, duration at scope
   /// exit. Spans may nest (prefix_attach inside admit); the exporter
   /// emits them as overlapping complete events, which trace viewers

@@ -394,8 +394,6 @@ std::vector<std::int32_t> Engine::generate(
     tok = decode(id, tok);
     out.push_back(tok);
   }
-  sequence(id).generated = out;
-  sequence(id).phase = SequencePhase::kFinished;
   return out;
 }
 
@@ -428,7 +426,7 @@ PageDemand Engine::estimate_request_pages(
   // the window rounded up to pages plus the page being filled.
   const std::size_t stream_cap = std::min(
       stream_alloc_.pages_for_tokens(total_tokens),
-      stream_alloc_.pages_for_tokens(cfg_.streaming.sink_tokens) +
+      cfg_.streaming.sink_blocks(stream_alloc_.config().page_size) +
           stream_alloc_.pages_for_tokens(cfg_.streaming.local_tokens) + 1);
   return {dense_slots_ * full, stream_slots_ * stream_cap};
 }
@@ -444,16 +442,14 @@ PageDemand Engine::estimate_request_pages(
   const std::size_t full_blocks = cached_tokens / np;
   const std::size_t dense_saved = dense_slots_ * full_blocks;
   d.dense_pages -= std::min(d.dense_pages, dense_saved);
-  // Streaming heads only share blocks still retained at the attach depth
-  // (kv/prefix_cache.hpp): sinks plus the locals inside the Λ window.
-  const std::size_t sink_blocks =
-      (cfg_.streaming.sink_tokens + np - 1) / np;
+  // A streaming head attaches the blocks it retains at the attach depth
+  // (kv/prefix_cache.hpp), but a local block the Λ window passes before
+  // `total_tokens` is dropped by the sequence while the cache keeps it,
+  // and the sequence allocates a fresh page in its place. Only blocks
+  // still retained at `total_tokens` save a page.
   std::size_t stream_shared = 0;
   for (std::size_t b = 0; b < full_blocks; ++b) {
-    if (b < sink_blocks ||
-        cached_tokens < cfg_.streaming.local_tokens + (b + 1) * np) {
-      ++stream_shared;
-    }
+    if (cfg_.streaming.retains(b, total_tokens, np)) ++stream_shared;
   }
   d.stream_pages -= std::min(d.stream_pages, stream_slots_ * stream_shared);
   return d;

@@ -131,9 +131,6 @@ class Engine {
   void set_attention_policy(std::shared_ptr<const AttentionPolicy> policy) {
     policy_ = std::move(policy);
   }
-  const AttentionPolicy* attention_policy() const noexcept {
-    return policy_.get();
-  }
 
   /// Runs the synthetic-calibration gate measurement (DESIGN.md §2) and
   /// re-partitions heads at cfg.streaming_fraction. Returns the gates.
@@ -245,7 +242,9 @@ class Engine {
 
   /// As above, but discounting pages a prefix-cache attach at depth
   /// `cached_tokens` would share instead of allocate — the admission-side
-  /// view that lets a cache hit count only its uncached suffix.
+  /// view that lets a cache hit count only its uncached suffix. A shared
+  /// streaming page counts only if the Λ window still retains its block at
+  /// `total_tokens` (kv::StreamingConfig::retains).
   PageDemand estimate_request_pages(std::size_t total_tokens,
                                     std::size_t cached_tokens) const noexcept;
 

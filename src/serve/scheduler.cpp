@@ -340,7 +340,6 @@ void Scheduler::terminate_running(std::size_t slot, RequestStatus status) {
   // terminal instead of re-queued. Its KV is still valid prefix state —
   // insert it into the prefix cache before the release frees it.
   insert_prefix(run);
-  engine_.sequence(run.seq).phase = SequencePhase::kCancelled;
   engine_.release_sequence(run.seq);
   // Mid-prefill after a preemption the restored output still lives in
   // pend.resumed; everything already streamed must appear in the result.
@@ -409,6 +408,30 @@ void Scheduler::deliver_tokens(Running& run) {
   }
 }
 
+std::size_t Scheduler::decoding_sequences() const {
+  std::size_t decoding = 0;
+  for (const Running& run : running_) {
+    if (phase_of(run) == SequencePhase::kDecoding &&
+        run.output.size() < run.pend.req.max_new_tokens) {
+      ++decoding;
+    }
+  }
+  return decoding;
+}
+
+bool Scheduler::fits_page_budget(std::size_t extra) {
+  // Under tiering the budget charges hot-resident pages only: cold pages
+  // occupy spill-file bytes, not pool RAM. Untiered, hot == total.
+  const std::size_t budget = cfg_.memory.page_budget;
+  if (engine_.hot_pages_in_use() + extra <= budget) return true;
+  // Prefix-cache entries nobody references are the cheapest memory to
+  // reclaim — evict them before deferring an admission or sacrificing a
+  // running sequence's work.
+  const std::size_t excess = engine_.hot_pages_in_use() + extra - budget;
+  return engine_.reclaim_prefix_pages(excess) > 0 &&
+         engine_.hot_pages_in_use() + extra <= budget;
+}
+
 void Scheduler::admit() {
   while (running_.size() < cfg_.max_batch && !waiting_.empty()) {
     // KV-memory admission control: the front request's worst-case
@@ -432,30 +455,11 @@ void Scheduler::admit() {
       // already running — the same term preempt_for_memory() enforces —
       // so a freshly admitted request is not immediately preempted back
       // out (admit/preempt thrash that would discard its prefill work).
-      std::size_t decoding = 0;
-      for (const Running& run : running_) {
-        if (run.phase == SequencePhase::kDecoding &&
-            run.output.size() < run.pend.req.max_new_tokens) {
-          ++decoding;
-        }
-      }
-      const std::size_t headroom = decoding * engine_.decode_step_page_bound();
-      // Under tiering the budget charges hot-resident pages only: cold
-      // pages occupy spill-file bytes, not pool RAM, so demoted history
-      // does not block fresh admissions. Untiered, hot == total.
-      if (engine_.hot_pages_in_use() + headroom + need >
-          cfg_.memory.page_budget) {
-        // Before deferring, try to make room out of the prefix cache:
-        // evicting unreferenced cache entries is strictly cheaper than
-        // stalling admission.
-        const std::size_t deficit = engine_.hot_pages_in_use() + headroom +
-                                    need - cfg_.memory.page_budget;
-        engine_.reclaim_prefix_pages(deficit);
-        if (engine_.hot_pages_in_use() + headroom + need >
-            cfg_.memory.page_budget) {
-          counters_->deferred_admissions.inc();
-          break;
-        }
+      const std::size_t headroom =
+          decoding_sequences() * engine_.decode_step_page_bound();
+      if (!fits_page_budget(headroom + need)) {
+        counters_->deferred_admissions.inc();
+        break;
       }
     }
     Running run;
@@ -472,14 +476,11 @@ void Scheduler::admit() {
     // Attach the cached prefix (no-op without a prefix cache): prefill
     // resumes at the first uncached token, which is what turns a shared
     // prefix into a TTFT win.
-    std::size_t attached = 0;
     {
       obs::StepTraceBuilder::Span span = step_trace_.span("prefix_attach");
-      attached = engine_.attach_prefix(run.seq, run.pend.feed());
+      engine_.attach_prefix(run.seq, run.pend.feed());
     }
-    run.prefill_pos = attached;
     engine_.begin_prefill(run.seq, run.pend.feed().size());
-    run.phase = SequencePhase::kPrefilling;
     run.admit_order = admit_counter_++;
     counters_->admitted.inc();
     running_.push_back(std::move(run));
@@ -492,7 +493,7 @@ void Scheduler::advance_prefill() {
   // batch instead of monopolizing the step.
   Running* target = nullptr;
   for (Running& run : running_) {
-    if (run.phase != SequencePhase::kPrefilling) continue;
+    if (phase_of(run) != SequencePhase::kPrefilling) continue;
     if (target == nullptr || run.admit_order < target->admit_order) {
       target = &run;
     }
@@ -502,17 +503,17 @@ void Scheduler::advance_prefill() {
   obs::StepTraceBuilder::Span span = step_trace_.span("prefill_chunk");
   const std::vector<std::int32_t>& feed = target->pend.feed();
   const std::size_t chunk = engine_.config().prefill_chunk_tokens;
-  const std::size_t remaining = feed.size() - target->prefill_pos;
+  // The sequence position is the prefill cursor into feed(): an attached
+  // prefix starts it past the cached tokens, each chunk advances it.
+  const std::size_t pos = engine_.sequence(target->seq).position;
+  const std::size_t remaining = feed.size() - pos;
   const std::size_t count = chunk == 0 ? remaining : std::min(chunk, remaining);
-  const std::span<const std::int32_t> ids(feed.data() + target->prefill_pos,
-                                          count);
-  const std::size_t left = engine_.prefill_chunk(target->seq, ids);
-  target->prefill_pos += count;
+  const std::size_t left = engine_.prefill_chunk(
+      target->seq, std::span<const std::int32_t>(feed.data() + pos, count));
   counters_->prefill_chunks.inc();
   if (left > 0) return;
 
   const std::int32_t first = engine_.finish_prefill(target->seq);
-  target->phase = SequencePhase::kDecoding;
   if (target->pend.resumed.empty()) {
     target->output.push_back(first);
     target->pend.first_token_step = steps();
@@ -543,13 +544,13 @@ void Scheduler::preempt(std::size_t slot) {
   // may in turn evict these entries if memory stays tight — attach is an
   // opportunity, not a reservation.)
   insert_prefix(run);
-  engine_.sequence(run.seq).phase = SequencePhase::kPreempted;
+  const bool decoding = phase_of(run) == SequencePhase::kDecoding;
   engine_.release_sequence(run.seq);
 
   Pending pend = std::move(run.pend);
   ++pend.preemptions;
   counters_->preemptions.inc();
-  if (run.phase == SequencePhase::kDecoding && !run.output.empty()) {
+  if (decoding && !run.output.empty()) {
     // Recompute preemption: replay every token that was fed to the engine
     // (the prompt plus all generated tokens but the last, which had not
     // been fed back yet) and restore the generated output on re-admission.
@@ -568,32 +569,13 @@ void Scheduler::preempt_for_memory() {
   if (cfg_.memory.page_budget == 0) return;
   const std::size_t bound = engine_.decode_step_page_bound();
   while (running_.size() > 1) {
-    std::size_t decoding = 0;
-    for (const Running& run : running_) {
-      if (run.phase == SequencePhase::kDecoding &&
-          run.output.size() < run.pend.req.max_new_tokens) {
-        ++decoding;
-      }
-    }
+    const std::size_t decoding = decoding_sequences();
     if (decoding == 0) return;
     // Worst case, every decoding sequence crosses a page boundary on every
     // head this step; preempt until that fits under the budget (or only
     // one sequence is left — the oldest is never preempted, which
     // guarantees forward progress and a completing drain()).
-    if (engine_.hot_pages_in_use() + decoding * bound <=
-        cfg_.memory.page_budget) {
-      return;
-    }
-    // Prefix-cache entries nobody references are the cheapest memory to
-    // reclaim — evict them before sacrificing a running sequence's work.
-    const std::size_t excess =
-        engine_.hot_pages_in_use() + decoding * bound -
-        cfg_.memory.page_budget;
-    if (engine_.reclaim_prefix_pages(excess) > 0 &&
-        engine_.hot_pages_in_use() + decoding * bound <=
-            cfg_.memory.page_budget) {
-      return;
-    }
+    if (fits_page_budget(decoding * bound)) return;
     std::size_t victim = 0;
     for (std::size_t i = 1; i < running_.size(); ++i) {
       if (running_[i].admit_order > running_[victim].admit_order) victim = i;
@@ -659,7 +641,7 @@ bool Scheduler::step_impl() {
   last.reserve(running_.size());
   for (std::size_t i = 0; i < running_.size(); ++i) {
     const Running& run = running_[i];
-    if (run.phase != SequencePhase::kDecoding) continue;
+    if (phase_of(run) != SequencePhase::kDecoding) continue;
     if (run.output.size() >= run.pend.req.max_new_tokens) continue;
     slots.push_back(i);
     seqs.push_back(run.seq);
@@ -706,12 +688,11 @@ bool Scheduler::step_impl() {
   obs::StepTraceBuilder::Span retire_span = step_trace_.span("retire");
   for (std::size_t i = 0; i < running_.size();) {
     Running& run = running_[i];
-    if (run.phase == SequencePhase::kDecoding &&
+    if (phase_of(run) == SequencePhase::kDecoding &&
         run.output.size() >= run.pend.req.max_new_tokens) {
       // The finished conversation turn is tomorrow's shared prefix: insert
       // before release so the cache inherits the pages instead of the pool.
       insert_prefix(run);
-      engine_.sequence(run.seq).phase = SequencePhase::kFinished;
       engine_.release_sequence(run.seq);
       Running done = std::move(run);
       running_[i] = std::move(running_.back());

@@ -130,9 +130,9 @@ struct SchedulerConfig {
   /// ThreadPool, 0 = hardware concurrency. Outputs, stats, scheduling
   /// decisions (admission/preemption use post-join page counts) and
   /// completion order are bit-identical at any thread count. Allocator-
-  /// level telemetry (PageAllocator::peak_pages_in_use, physical page-id
-  /// assignment) is the exception: it depends on allocation interleaving
-  /// within a batch.
+  /// level telemetry (PageAllocator::Occupancy::peak_in_use, physical
+  /// page-id assignment) is the exception: it depends on allocation
+  /// interleaving within a batch.
   std::size_t decode_threads = 1;
   /// Consolidated memory knobs (kv/memory_config.hpp). The scheduler
   /// consumes memory.page_budget: the combined (dense + streaming) page
@@ -292,16 +292,24 @@ class Scheduler {
     bool ttft_recorded = false;
   };
 
-  /// An admitted request bound to an engine sequence.
+  /// An admitted request bound to an engine sequence. Its phase and
+  /// prefill progress are the engine sequence's (phase_of(), position).
   struct Running {
     Pending pend;
     SequenceId seq = kInvalidSequence;
-    SequencePhase phase = SequencePhase::kPrefilling;
     std::vector<std::int32_t> output;
-    std::size_t prefill_pos = 0;  ///< tokens of pend.feed() already forwarded.
     std::uint64_t admit_order = 0;
   };
 
+  SequencePhase phase_of(const Running& run) const {
+    return engine_.sequence(run.seq).phase;
+  }
+  /// Running sequences that decode this step (each may allocate up to
+  /// Engine::decode_step_page_bound() pages).
+  std::size_t decoding_sequences() const;
+  /// True when `extra` more pages fit under the page budget on top of the
+  /// hot occupancy, after evicting prefix-cache entries for any excess.
+  bool fits_page_budget(std::size_t extra);
   void admit();
   void advance_prefill();
   void preempt_for_memory();

@@ -14,19 +14,14 @@ namespace lserve::serve {
 using SequenceId = std::size_t;
 inline constexpr SequenceId kInvalidSequence = static_cast<SequenceId>(-1);
 
-/// Lifecycle of a served request/sequence. The scheduler drives requests
-/// through WAITING → PREFILLING → DECODING → FINISHED, with PREEMPTED as
-/// the memory-pressure back edge (pages released, request re-queued for
-/// re-prefill, so PREEMPTED → WAITING) and CANCELLED as the early terminal
-/// exit (cancel() or a deadline: pages released like preemption, request
-/// not re-queued).
+/// Lifecycle of a live sequence: WAITING → PREFILLING → DECODING. A
+/// sequence ends by release_sequence(), which destroys it; how its request
+/// ended (finished, preempted and re-queued, cancelled) is the scheduler's
+/// RequestStatus, not a phase.
 enum class SequencePhase : std::uint8_t {
   kWaiting = 0,     ///< queued/created; no tokens fed yet.
   kPrefilling = 1,  ///< mid incremental prefill (begin_prefill() called).
   kDecoding = 2,    ///< prefill complete; generating one token per step.
-  kFinished = 3,    ///< hit max_new_tokens (or EOS in a real deployment).
-  kPreempted = 4,   ///< released under memory pressure; awaiting re-admission.
-  kCancelled = 5,   ///< cancelled or past deadline; pages released, terminal.
 };
 
 /// Per-sequence serving state. Owned by the engine; requests reference it
@@ -45,7 +40,6 @@ struct Sequence {
   std::size_t decode_step = 0;   ///< decode steps taken (reuse chunking).
   std::size_t prefill_remaining = 0;  ///< prompt tokens still owed mid-prefill.
   std::int32_t last_token = -1;  ///< most recent generated token id.
-  std::vector<std::int32_t> generated;
 };
 
 }  // namespace lserve::serve

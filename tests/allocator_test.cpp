@@ -32,14 +32,14 @@ TEST(PageAllocator, AllocateFreeCycle) {
 TEST(PageAllocator, OccupancyQueriesTrackAllocateAndFree) {
   PageAllocator alloc(cfg(), 4);
   const std::size_t cap = alloc.capacity();
-  EXPECT_EQ(alloc.free_pages(), cap);
+  EXPECT_EQ(alloc.occupancy().free, cap);
   const PageId a = alloc.allocate();
   const PageId b = alloc.allocate();
-  EXPECT_EQ(alloc.free_pages(), cap - 2);
-  EXPECT_EQ(alloc.free_pages() + alloc.pages_in_use(), alloc.capacity());
+  EXPECT_EQ(alloc.occupancy().free, cap - 2);
+  EXPECT_EQ(alloc.occupancy().free + alloc.pages_in_use(), alloc.capacity());
   alloc.release(a);
   alloc.release(b);
-  EXPECT_EQ(alloc.free_pages(), cap);
+  EXPECT_EQ(alloc.occupancy().free, cap);
 }
 
 TEST(PageAllocator, PagesForTokensRoundsUp) {
@@ -80,7 +80,7 @@ TEST(PageAllocator, PeakTracking) {
   for (int i = 0; i < 5; ++i) ids.push_back(alloc.allocate());
   for (PageId id : ids) alloc.release(id);
   alloc.allocate();
-  EXPECT_EQ(alloc.peak_pages_in_use(), 5u);
+  EXPECT_EQ(alloc.occupancy().peak_in_use, 5u);
 }
 
 TEST(PageAllocator, DeviceBytesTrackLivePagesOnly) {

@@ -24,9 +24,7 @@ namespace {
 // Zero-overhead-when-off proof: with auditing compiled out the stand-ins
 // are empty classes, so the [[no_unique_address]] member in PageAllocator
 // occupies no storage and the hot paths inline to nothing.
-static_assert(kAuditEnabled == (LSERVE_AUDIT_ENABLED == 1));
 #if !LSERVE_AUDIT_ENABLED
-static_assert(!kAuditEnabled);
 static_assert(std::is_empty_v<PageAuditor>,
               "audit-off PageAuditor must be an empty type");
 #endif

@@ -130,17 +130,18 @@ TEST(PrefillCost, AttentionFractionGrowsWithLength) {
   const GpuSpec spec = a100();
   ServingPolicy p = vllm_policy();
   p.weight_bits = 16;
+  const auto attention_share = [&](std::size_t n) {
+    const StageBreakdown cost = prefill_cost(spec, kLlama3, p, n, 1);
+    return cost.attention_us / cost.total_us();
+  };
   double prev = 0.0;
   for (std::size_t n : {8192u, 16384u, 32768u, 65536u, 131072u}) {
-    const double frac =
-        prefill_cost(spec, kLlama3, p, n, 1).attention_fraction();
+    const double frac = attention_share(n);
     EXPECT_GT(frac, prev);
     prev = frac;
   }
   EXPECT_GT(prev, 0.5);
-  const double frac32k =
-      prefill_cost(spec, kLlama3, p, 32768, 1).attention_fraction();
-  EXPECT_LT(frac32k, 0.55);
+  EXPECT_LT(attention_share(32768), 0.55);
 }
 
 TEST(PrefillCost, StreamingHeadsAndDynamicMaskSpeedUpPrefill) {
@@ -255,16 +256,21 @@ TEST(Crossover, SparseWinsExactlyFromTheCrossoverOn) {
 }
 
 TEST(Crossover, InvariantUnderGpuSpecScaling) {
-  // scaled(spec, k) multiplies every throughput by k and divides the
-  // launch overhead by k, so each roofline term divides by k and the
-  // sparse-vs-dense comparison — hence the crossover — is unchanged.
-  // Power-of-two factors keep the arithmetic bit-exact.
+  // A part k times faster has every throughput multiplied by k and the
+  // launch overhead divided by k, while the geometric constants (page gap,
+  // efficiency fractions) stay put. Each roofline term then divides by k,
+  // so the sparse-vs-dense comparison — hence the crossover — is
+  // unchanged. Power-of-two factors keep the arithmetic bit-exact.
   const ServingPolicy p = lserve_policy();
   const std::size_t base = crossover_tokens(a100(), kLlama3, p, 1);
   ASSERT_NE(base, kNoCrossover);
   for (const double k : {0.5, 2.0, 8.0}) {
-    EXPECT_EQ(crossover_tokens(scaled(a100(), k), kLlama3, p, 1), base)
-        << "scale " << k;
+    GpuSpec fast = a100();
+    fast.hbm_bw_gbps *= k;
+    fast.fp16_tflops *= k;
+    fast.int8_tops *= k;
+    fast.launch_overhead_us /= k;
+    EXPECT_EQ(crossover_tokens(fast, kLlama3, p, 1), base) << "scale " << k;
   }
 }
 

@@ -39,7 +39,7 @@ TEST(AllocatorFuzz, RandomAllocFreeConservesCounts) {
   }
   for (kv::PageId id : live) alloc.release(id);
   EXPECT_EQ(alloc.pages_in_use(), 0u);
-  EXPECT_GE(alloc.peak_pages_in_use(), 1u);
+  EXPECT_GE(alloc.occupancy().peak_in_use, 1u);
 }
 
 TEST(HeadCacheFuzz, RandomLengthsAlwaysRoundTrip) {

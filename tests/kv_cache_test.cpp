@@ -74,30 +74,19 @@ TEST(PageTable, FullTableCoversEveryBlock) {
     EXPECT_EQ(table[b].block, b);
     EXPECT_EQ(table[b].page, view.pages[b]);
   }
-  EXPECT_EQ(selected_tokens(table, view), 19u);
 }
 
-TEST(PageTable, SelectedTokensCountsPartialBlocks) {
-  PageAllocator alloc(cfg(), 8);
-  HeadCache head;
-  std::vector<float> k(8, 0.0f), v(8, 0.0f);
-  for (int t = 0; t < 19; ++t) head.append(alloc, k.data(), v.data());
-  const auto view = head.view(alloc);
-  const SelectedPageTable pruned{{view.pages[0], 0}, {view.pages[2], 2}};
-  EXPECT_EQ(selected_tokens(pruned, view), 8u + 3u);
-}
-
-TEST(SequenceKvCache, IndependentHeadsShareThePool) {
+TEST(HeadCache, IndependentHeadsShareThePool) {
   PageAllocator alloc(cfg(), 16);
-  SequenceKvCache cache(/*layers=*/2, /*kv_heads=*/3);
+  std::vector<HeadCache> heads(/*layers * kv_heads=*/2 * 3);
   std::vector<float> k(8, 1.0f), v(8, 2.0f);
-  cache.head(0, 0).append(alloc, k.data(), v.data());
-  cache.head(1, 2).append(alloc, k.data(), v.data());
-  EXPECT_EQ(cache.head(0, 0).tokens(), 1u);
-  EXPECT_EQ(cache.head(1, 2).tokens(), 1u);
-  EXPECT_EQ(cache.head(0, 1).tokens(), 0u);
+  heads[0].append(alloc, k.data(), v.data());
+  heads[5].append(alloc, k.data(), v.data());
+  EXPECT_EQ(heads[0].tokens(), 1u);
+  EXPECT_EQ(heads[5].tokens(), 1u);
+  EXPECT_EQ(heads[1].tokens(), 0u);
   EXPECT_EQ(alloc.pages_in_use(), 2u);
-  cache.release(alloc);
+  for (HeadCache& head : heads) head.release(alloc);
   EXPECT_EQ(alloc.pages_in_use(), 0u);
 }
 

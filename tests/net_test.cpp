@@ -283,7 +283,7 @@ TEST(HttpServer, DisconnectMidStreamCancelsAndReclaimsPages) {
   // object is scheduler-thread-only while serving).
   EXPECT_GE(sched.scheduler_stats().cancelled, 1u);
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
-  EXPECT_EQ(engine.dense_allocator().free_pages(),
+  EXPECT_EQ(engine.dense_allocator().occupancy().free,
             engine.dense_allocator().capacity());
 }
 

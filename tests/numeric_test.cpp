@@ -68,16 +68,6 @@ TEST(Rng, UnitVectorHasUnitNorm) {
   }
 }
 
-TEST(Rng, PermutationIsBijective) {
-  Rng rng(17);
-  const auto p = rng.permutation(100);
-  std::vector<bool> seen(100, false);
-  for (auto i : p) {
-    EXPECT_FALSE(seen[i]);
-    seen[i] = true;
-  }
-}
-
 TEST(Math, DotMatchesNaive) {
   Rng rng(21);
   for (std::size_t n : {1u, 3u, 4u, 7u, 64u, 129u}) {
@@ -119,23 +109,6 @@ TEST(Math, MatmulMatchesNaive) {
       double ref = 0.0;
       for (std::size_t k = 0; k < 7; ++k) {
         ref += static_cast<double>(a.at(i, k)) * b.at(k, j);
-      }
-      EXPECT_NEAR(c.at(i, j), ref, 1e-4);
-    }
-  }
-}
-
-TEST(Math, MatmulAbtMatchesNaive) {
-  Rng rng(29);
-  Tensor a(3, 6), b(5, 6), c(3, 5);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.gaussian();
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.gaussian();
-  matmul_abt(a.view(), b.view(), c.view());
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      double ref = 0.0;
-      for (std::size_t k = 0; k < 6; ++k) {
-        ref += static_cast<double>(a.at(i, k)) * b.at(j, k);
       }
       EXPECT_NEAR(c.at(i, j), ref, 1e-4);
     }

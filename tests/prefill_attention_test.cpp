@@ -93,12 +93,13 @@ TEST(StreamingPrefill, MatchesTokenReferenceWhenBlockAligned) {
   const Qkv x = random_qkv(n, d, 11);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
 
+  BlockMask mask = BlockMask::streaming(n, 16, 16, 1, 2);
+  mask.finalize();
   num::Tensor out(n, d);
-  streaming_prefill(x.q.view(), x.k.view(), x.v.view(), {1, 2}, {16, 16},
-                    scale, out.view());
+  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), mask, {16, 16},
+                       scale, out.view());
 
   // Reference: per row, softmax over keys in kept blocks only.
-  BlockMask mask = BlockMask::streaming(n, 16, 16, 1, 2);
   num::Tensor ref(n, d);
   std::vector<float> scores;
   std::vector<std::size_t> cols;
@@ -129,22 +130,16 @@ TEST(StreamingPrefill, EarlyRowsEqualDense) {
   num::Tensor dense(n, d), stream(n, d);
   dense_prefill_reference(x.q.view(), x.k.view(), x.v.view(), scale,
                           dense.view());
-  streaming_prefill(x.q.view(), x.k.view(), x.v.view(), {1, 3}, {16, 16},
-                    scale, stream.view());
+  BlockMask mask = BlockMask::streaming(n, 16, 16, 1, 3);
+  mask.finalize();
+  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), mask, {16, 16},
+                       scale, stream.view());
   // First 4 blocks of rows (sink 1 + local 3 covers diag <= 3): all rows.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t c = 0; c < d; ++c) {
       EXPECT_NEAR(stream.at(i, c), dense.at(i, c), 2e-4f) << "row " << i;
     }
   }
-}
-
-TEST(StreamingCostFraction, NearlyFreeAtLongContext) {
-  const double frac_short = streaming_cost_fraction(512, 64, 256);
-  const double frac_long = streaming_cost_fraction(65536, 64, 256);
-  EXPECT_GT(frac_short, frac_long);
-  EXPECT_LT(frac_long, 0.02);  // ~(64+256)/32768
-  EXPECT_DOUBLE_EQ(streaming_cost_fraction(0, 64, 256), 1.0);
 }
 
 TEST(BlockSparsePrefill, SkippedBlocksReduceAttentionMass) {

@@ -3,6 +3,7 @@
 // lifecycle across preemption/cancel, and LRU eviction under page budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -85,6 +86,55 @@ TurnResult run_turn(Engine& eng, std::span<const std::int32_t> prompt,
   eng.insert_prefix(id, prompt);
   eng.release_sequence(id);
   return r;
+}
+
+// Admission charges a prefix-cache hit only for the pages it adds, so the
+// cached estimate must still bound what the request really allocates. A
+// streaming head attaches the locals retained at the attach depth, then
+// drops the ones its Λ window passes — the cache keeps them, so each is
+// replaced by a fresh page from the pool.
+TEST(PrefixCacheEstimate, CachedEstimateBoundsPoolGrowth) {
+  const std::size_t cached_tokens = 40, new_tokens = 4, chunk = 8;
+  for (const std::size_t suffix : {4u, 16u, 40u}) {
+    Engine eng(cache_config(true));
+    eng.set_head_kinds(partition(eng, 2));
+    const std::vector<std::int32_t> prompt =
+        prompt_ids(cached_tokens + suffix);
+    const std::span<const std::int32_t> ids(prompt);
+    const SequenceId seed = eng.create_sequence();
+    eng.prefill(seed, ids.first(cached_tokens));
+    eng.insert_prefix(seed, ids.first(cached_tokens));
+    eng.release_sequence(seed);
+
+    ASSERT_EQ(eng.prefix_match_tokens(prompt), cached_tokens);
+    const PageDemand est = eng.estimate_request_pages(
+        prompt.size() + new_tokens, cached_tokens);
+    const std::size_t dense0 = eng.dense_allocator().pages_in_use();
+    const std::size_t stream0 = eng.stream_allocator().pages_in_use();
+    const auto expect_bounded = [&](const char* when) {
+      EXPECT_LE(eng.dense_allocator().pages_in_use() - dense0,
+                est.dense_pages)
+          << "suffix " << suffix << " after " << when;
+      EXPECT_LE(eng.stream_allocator().pages_in_use() - stream0,
+                est.stream_pages)
+          << "suffix " << suffix << " after " << when;
+    };
+
+    const SequenceId id = eng.create_sequence();
+    ASSERT_EQ(eng.attach_prefix(id, prompt), cached_tokens);
+    eng.begin_prefill(id, prompt.size());
+    for (std::size_t pos = cached_tokens; pos < prompt.size(); pos += chunk) {
+      eng.prefill_chunk(id,
+                        ids.subspan(pos, std::min(chunk, prompt.size() - pos)));
+      expect_bounded("a prefill chunk");
+    }
+    std::int32_t tok = eng.finish_prefill(id);
+    for (std::size_t i = 1; i < new_tokens; ++i) {
+      tok = eng.decode(id, tok);
+      expect_bounded("a decode step");
+    }
+    eng.release_sequence(id);
+  }
 }
 
 class PrefixCacheBitExact : public ::testing::TestWithParam<int> {};

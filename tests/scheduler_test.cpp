@@ -338,7 +338,7 @@ TEST(Scheduler, PreemptionRequeuesAndMatchesUnpreemptedRun) {
 
   // Every preempted and retired page went back to the free list.
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
-  EXPECT_EQ(engine.dense_allocator().free_pages(),
+  EXPECT_EQ(engine.dense_allocator().occupancy().free,
             engine.dense_allocator().capacity());
 }
 
@@ -380,10 +380,10 @@ TEST(Scheduler, PagesReclaimedAcrossSequentialRequests) {
   ASSERT_EQ(results.size(), 10u);
   EXPECT_EQ(engine.dense_allocator().pages_in_use(), 0u);
   EXPECT_EQ(engine.dense_allocator().capacity(), initial_capacity);
-  EXPECT_EQ(engine.dense_allocator().free_pages(), initial_capacity);
+  EXPECT_EQ(engine.dense_allocator().occupancy().free, initial_capacity);
   // Peak occupancy never exceeded one request's worst case — later
   // requests reused the pages released by earlier ones.
-  EXPECT_LE(engine.dense_allocator().peak_pages_in_use(),
+  EXPECT_LE(engine.dense_allocator().occupancy().peak_in_use,
             engine.estimate_request_pages(24 + 4).dense_pages);
 }
 
@@ -602,7 +602,7 @@ TEST(Scheduler, CancelDecodingYieldsPrefixAndReclaimsPages) {
   EXPECT_TRUE(std::equal(r.output.begin(), r.output.end(), full.begin()));
   EXPECT_EQ(log.tokens, r.output);
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
-  EXPECT_EQ(engine.dense_allocator().free_pages(),
+  EXPECT_EQ(engine.dense_allocator().occupancy().free,
             engine.dense_allocator().capacity());
 }
 
