@@ -1,12 +1,15 @@
 // Batched decode throughput: serial vs thread-pooled Scheduler::step().
 //
 // LServe's decode-side wins are measured under iteration-level continuous
-// batching; sequences in a decode batch are independent, so the per-step
-// work is embarrassingly parallel on the batch dimension. This bench pins
-// one engine/scheduler per (batch, threads) cell, submits `batch` identical
-// seeded requests, and reports the median per-step latency and aggregate
-// decode tokens/s. The parallel path is bit-identical to the serial path
-// (see Scheduler), so this is a pure wall-clock comparison.
+// batching. A decode step runs one forward over the batch's stacked rows
+// (each layer's weights are read once for the whole batch) and only the
+// KV append and paged attention per sequence; a pool splits the GEMMs'
+// output columns and runs the per-sequence attention concurrently. This
+// bench pins one engine/scheduler per (batch, threads) cell, submits
+// `batch` seeded requests, and reports the median per-step latency and
+// aggregate decode tokens/s. The pooled path is bit-identical to the
+// serial path (see Engine::decode_batch), so this is a pure wall-clock
+// comparison.
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -81,7 +84,8 @@ int main(int argc, char** argv) {
                 bench::fmt(1e6 * b / pooled, 0)});
   }
   std::printf(
-      "\nPooled step() distributes the batch over a ThreadPool; outputs,\n"
-      "stats and completion order are bit-identical to serial execution.\n");
+      "\nPooled step() splits GEMM columns and per-sequence attention over\n"
+      "a ThreadPool; outputs, stats and completion order are bit-identical\n"
+      "to serial execution.\n");
   return 0;
 }

@@ -1,11 +1,16 @@
 // google-benchmark microbenchmarks for the hot kernels: block-sparse
 // prefill (iterator vs branchy vs dense), paged sparse decode (full vs
 // pruned vs streaming tables), one fused layer of decode and one fused
-// prefill chunk, quantized load paths, and selector scoring.
+// prefill chunk, every compiled matmul variant on one layer's GEMMs,
+// quantized load paths, and selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
 #include <benchmark/benchmark.h>
+
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "attn/block_sparse_prefill.hpp"
 #include "attn/decode_attention.hpp"
@@ -13,6 +18,7 @@
 #include "baselines/baseline_engines.hpp"
 #include "eval/metrics.hpp"
 #include "model/workload.hpp"
+#include "numeric/matmul_kernels.hpp"
 #include "numeric/quant.hpp"
 #include "numeric/rng.hpp"
 #include "sparse/hierarchical_selector.hpp"
@@ -235,6 +241,56 @@ void BM_FusedPrefillChunk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedPrefillChunk);
+
+// The seven GEMMs of one `small`-model layer (QKV, o-proj, FFN up/gate/
+// down) through one matmul variant, at m = state.range(0) rows: 1/4/8
+// are decode batches, 128 a prefill chunk. Variants this CPU lacks are
+// reported as skipped.
+void BM_Matmul(benchmark::State& state, const char* variant) {
+  const num::detail::MatmulVariant* kernel = nullptr;
+  for (const auto& v : num::detail::matmul_variants()) {
+    if (std::string_view(v.name) == variant) kernel = &v;
+  }
+  if (kernel == nullptr || !kernel->supported) {
+    state.SkipWithError("matmul variant not available on this CPU");
+    return;
+  }
+  const model::ModelConfig m = model::small();
+  const std::size_t h = m.hidden(), kv = m.kv_dim(), f = m.ffn_hidden;
+  const std::size_t rows = state.range(0);
+  struct Gemm {
+    num::Tensor a, b, c;
+  };
+  std::vector<Gemm> gemms;
+  num::Rng rng(14);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {h, h}, {h, kv}, {h, kv}, {h, h}, {h, f}, {h, f}, {f, h}};
+  for (const auto& [k, n] : shapes) {
+    Gemm g{num::Tensor(rows, k), num::Tensor(k, n), num::Tensor(rows, n)};
+    for (auto* t : {&g.a, &g.b}) {
+      for (float& x : t->flat()) x = rng.gaussian();
+    }
+    gemms.push_back(std::move(g));
+  }
+  for (auto _ : state) {
+    for (Gemm& g : gemms) {
+      kernel->fn(g.a.view(), g.b.view(), g.c.view());
+      benchmark::DoNotOptimize(g.c.data());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_Matmul, avx512, "avx512")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(128);
+BENCHMARK_CAPTURE(BM_Matmul, avx2, "avx2")->Arg(1)->Arg(4)->Arg(8)->Arg(128);
+BENCHMARK_CAPTURE(BM_Matmul, scalar, "scalar")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(128);
 
 void BM_SelectorFlat(benchmark::State& state) {
   DecodeFixture fix(state.range(0), num::KvDtype::kFp16);

@@ -17,6 +17,10 @@
 #include "numeric/rope.hpp"
 #include "numeric/tensor.hpp"
 
+namespace lserve::serve {
+class ThreadPool;
+}
+
 namespace lserve::model {
 
 /// Per-layer weights of the simulated network.
@@ -50,15 +54,36 @@ class Transformer {
                    std::size_t pos0, num::MatView q, num::MatView k,
                    num::MatView v) const;
 
+  /// As above, with row t rotated at positions[t]: the rows of a decode
+  /// batch belong to different sequences, each at its own position.
+  ///
+  /// Here and below, a non-null `pool` splits each projection's output
+  /// columns into contiguous ranges, one task per pool thread. Every
+  /// output element is still computed by the same k-ordered loop, so the
+  /// result is bit-identical at any pool size.
+  void qkv_project(num::ConstMatView normed, std::size_t layer,
+                   std::span<const std::size_t> positions, num::MatView q,
+                   num::MatView k, num::MatView v,
+                   serve::ThreadPool* pool = nullptr) const;
+
   /// out += attn_result * Wo (residual add onto `hidden`).
   void output_project(num::ConstMatView attn_result, std::size_t layer,
-                      num::MatView hidden) const;
+                      num::MatView hidden,
+                      serve::ThreadPool* pool = nullptr) const;
 
   /// SwiGLU FFN with pre-norm and residual add, in place on `hidden`.
-  void ffn(num::MatView hidden, std::size_t layer) const;
+  void ffn(num::MatView hidden, std::size_t layer,
+           serve::ThreadPool* pool = nullptr) const;
 
   /// Tied-embedding readout: argmax token id for one hidden row.
   std::int32_t readout_argmax(const float* hidden_row) const;
+
+  /// Argmax token id of every row of `hidden` into `out` (one per row), in
+  /// one pass over the embedding; each score is the same num::dot as the
+  /// single-row form, and ties go to the lower token id. A non-null
+  /// `pool` splits the vocabulary into contiguous ranges.
+  void readout_argmax(num::ConstMatView hidden, std::span<std::int32_t> out,
+                      serve::ThreadPool* pool = nullptr) const;
 
   /// Full logits for one hidden row (for tests).
   std::vector<float> readout_logits(const float* hidden_row) const;

@@ -1,7 +1,6 @@
 #include "numeric/math.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -51,22 +50,6 @@ void softmax_inplace(float* row, std::size_t n) noexcept {
   }
   const float inv = 1.0f / sum;
   for (std::size_t i = 0; i < n; ++i) row[i] *= inv;
-}
-
-void matmul(ConstMatView a, ConstMatView b, MatView c) noexcept {
-  assert(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols);
-  for (std::size_t i = 0; i < c.rows; ++i) {
-    float* ci = c.row(i);
-    std::fill(ci, ci + c.cols, 0.0f);
-  }
-  // ikj loop order: streams over B rows, accumulates into C rows.
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const float* ai = a.row(i);
-    float* ci = c.row(i);
-    for (std::size_t k = 0; k < a.cols; ++k) {
-      axpy(ai[k], b.row(k), ci, b.cols);
-    }
-  }
 }
 
 std::vector<std::size_t> top_k_indices(std::span<const float> scores,

@@ -243,40 +243,6 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
   counters_->prefill_tokens.inc(n);
 }
 
-void Engine::forward_decode(Sequence& seq, num::Tensor& hidden,
-                            AttentionRoute route,
-                            attn::DecodeWorkStats& work) {
-  const std::size_t h = cfg_.model.hidden();
-  const std::size_t kvd = cfg_.model.kv_dim();
-  const std::size_t d = cfg_.model.head_dim;
-  const attn::FusedDecodeConfig dc = decode_config(route);
-
-  num::Tensor normed(1, h);
-  num::Tensor q(1, h);
-  num::Tensor k(1, kvd);
-  num::Tensor v(1, kvd);
-  num::Tensor attn_out(1, h);
-
-  for (std::size_t layer = 0; layer < cfg_.model.layers; ++layer) {
-    tf_.rms_norm(hidden.view(), layer, normed.view());
-    tf_.qkv_project(normed.view(), layer, seq.position, q.view(), k.view(),
-                    v.view());
-    for (std::size_t kvh = 0; kvh < cfg_.model.kv_heads; ++kvh) {
-      seq.cache.append(dense_alloc_, stream_alloc_, layer, kvh,
-                       k.row(0) + kvh * d, v.row(0) + kvh * d);
-    }
-    // Reinterpret the packed q row as [q_heads x d].
-    const num::ConstMatView q_heads{q.data(), cfg_.model.q_heads, d, d};
-    num::MatView out_heads{attn_out.data(), cfg_.model.q_heads, d, d};
-    attn::fused_sparse_decode(dense_alloc_, stream_alloc_, seq.cache, layer,
-                              q_heads, cfg_.model.group_size(),
-                              &seq.selector, seq.decode_step, dc, out_heads,
-                              &work);
-    tf_.output_project(attn_out.view(), layer, hidden.view());
-    tf_.ffn(hidden.view(), layer);
-  }
-}
-
 std::int32_t Engine::prefill(SequenceId id,
                              std::span<const std::int32_t> ids) {
   begin_prefill(id, ids.size());
@@ -324,30 +290,6 @@ std::int32_t Engine::finish_prefill(SequenceId id) {
   return seq.last_token;
 }
 
-std::int32_t Engine::decode_one(Sequence& seq, std::int32_t token,
-                                attn::DecodeWorkStats& work) {
-  assert(seq.phase == SequencePhase::kDecoding);
-  const std::int32_t ids[1] = {token};
-  num::Tensor hidden = tf_.embed(ids);
-  // The step's attention spans position + 1 tokens (history plus the
-  // token appended below). The route is a pure function of that length,
-  // so it is identical across decode threads and preemption replay.
-  const AttentionRoute route =
-      policy_ == nullptr ? AttentionRoute::kSparse
-                         : policy_->route(seq.position + 1);
-  if (route == AttentionRoute::kDense) {
-    ++work.dense_route_steps;
-  } else {
-    ++work.sparse_route_steps;
-  }
-  forward_decode(seq, hidden, route, work);
-  seq.position += 1;
-  ++seq.decode_step;
-  const std::int32_t next = tf_.readout_argmax(hidden.row(0));
-  seq.last_token = next;
-  return next;
-}
-
 std::int32_t Engine::decode(SequenceId id, std::int32_t token) {
   return decode_batch(std::span<const SequenceId>(&id, 1),
                       std::span<const std::int32_t>(&token, 1))[0];
@@ -357,18 +299,80 @@ std::vector<std::int32_t> Engine::decode_batch(
     std::span<const SequenceId> ids, std::span<const std::int32_t> tokens,
     ThreadPool* pool) {
   assert(ids.size() == tokens.size());
-  std::vector<std::int32_t> next(ids.size(), -1);
-  std::vector<attn::DecodeWorkStats> work(ids.size());
-  const auto run = [&](std::size_t i) {
-    // The audit scope is per-sequence and thread-local, so it tags pages
-    // correctly whether this lambda runs inline or on a pool worker.
-    const kv::PageAuditScope audit(ids[i], "Engine::decode");
-    next[i] = decode_one(*sequences_[ids[i]], tokens[i], work[i]);
-  };
-  if (pool != nullptr && pool->size() > 1 && ids.size() > 1) {
-    pool->parallel_for(ids.size(), run);
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) run(i);
+  const std::size_t batch = ids.size();
+  std::vector<std::int32_t> next(batch, -1);
+  if (batch == 0) return next;
+  const std::size_t h = cfg_.model.hidden();
+  const std::size_t kvd = cfg_.model.kv_dim();
+  const std::size_t d = cfg_.model.head_dim;
+  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
+
+  std::vector<Sequence*> seqs(batch);
+  std::vector<std::size_t> positions(batch);
+  std::vector<attn::FusedDecodeConfig> route_cfg(batch);
+  std::vector<attn::DecodeWorkStats> work(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    seqs[i] = sequences_[ids[i]].get();
+    assert(seqs[i]->phase == SequencePhase::kDecoding);
+    positions[i] = seqs[i]->position;
+    // The step's attention spans position + 1 tokens (history plus the
+    // token appended below). The route is a pure function of that length,
+    // so it is identical across batch sizes and preemption replay.
+    const AttentionRoute route =
+        policy_ == nullptr ? AttentionRoute::kSparse
+                           : policy_->route(positions[i] + 1);
+    if (route == AttentionRoute::kDense) {
+      ++work[i].dense_route_steps;
+    } else {
+      ++work[i].sparse_route_steps;
+    }
+    route_cfg[i] = decode_config(route);
+  }
+
+  // One stacked row per sequence: the norms, projections, FFN and readout
+  // run once over the batch (num::matmul rows are independent, so each
+  // row's bits are those of a batch of one). Only the KV append and the
+  // ragged paged attention run per sequence.
+  num::Tensor hidden = tf_.embed(tokens);
+  num::Tensor normed(batch, h);
+  num::Tensor q(batch, h);
+  num::Tensor k(batch, kvd);
+  num::Tensor v(batch, kvd);
+  num::Tensor attn_out(batch, h);
+  for (std::size_t layer = 0; layer < cfg_.model.layers; ++layer) {
+    tf_.rms_norm(hidden.view(), layer, normed.view());
+    tf_.qkv_project(normed.view(), layer, positions, q.view(), k.view(),
+                    v.view(), pool);
+    const auto attend = [&](std::size_t i) {
+      // The audit scope is per-sequence and thread-local, so it tags pages
+      // correctly whether this runs inline or on a pool worker.
+      const kv::PageAuditScope audit(ids[i], "Engine::decode");
+      Sequence& seq = *seqs[i];
+      for (std::size_t kvh = 0; kvh < cfg_.model.kv_heads; ++kvh) {
+        seq.cache.append(dense_alloc_, stream_alloc_, layer, kvh,
+                         k.row(i) + kvh * d, v.row(i) + kvh * d);
+      }
+      // Reinterpret the packed q row as [q_heads x d].
+      const num::ConstMatView q_heads{q.row(i), cfg_.model.q_heads, d, d};
+      num::MatView out_heads{attn_out.row(i), cfg_.model.q_heads, d, d};
+      attn::fused_sparse_decode(dense_alloc_, stream_alloc_, seq.cache,
+                                layer, q_heads, cfg_.model.group_size(),
+                                &seq.selector, seq.decode_step, route_cfg[i],
+                                out_heads, &work[i]);
+    };
+    if (pool != nullptr && batch > 1) {
+      pool->parallel_for(batch, attend);
+    } else {
+      for (std::size_t i = 0; i < batch; ++i) attend(i);
+    }
+    tf_.output_project(attn_out.view(), layer, hidden.view(), pool);
+    tf_.ffn(hidden.view(), layer, pool);
+  }
+  tf_.readout_argmax(hidden.view(), next, pool);
+  for (std::size_t i = 0; i < batch; ++i) {
+    seqs[i]->position += 1;
+    ++seqs[i]->decode_step;
+    seqs[i]->last_token = next[i];
   }
   // Count after the join, so the totals are the same at any thread count.
   Counters& c = *counters_;
@@ -422,12 +426,20 @@ kv::PageAllocator::Occupancy Engine::pool_occupancy() const noexcept {
 PageDemand Engine::estimate_request_pages(
     std::size_t total_tokens) const noexcept {
   const std::size_t full = dense_alloc_.pages_for_tokens(total_tokens);
-  // A streaming head holds its sink pages plus the local ring, which spans
-  // the window rounded up to pages plus the page being filled.
+  // A streaming head holds its sink pages plus the local ring. Prefill
+  // evicts only at the end of each layer's chunk (forward_prefill), so
+  // mid-chunk the ring spans the window plus the whole chunk — the whole
+  // prompt when prefill is monolithic — rounded up to pages, plus the page
+  // being filled.
+  const std::size_t chunk = cfg_.prefill_chunk_tokens == 0
+                                ? total_tokens
+                                : cfg_.prefill_chunk_tokens;
   const std::size_t stream_cap = std::min(
       stream_alloc_.pages_for_tokens(total_tokens),
       cfg_.streaming.sink_blocks(stream_alloc_.config().page_size) +
-          stream_alloc_.pages_for_tokens(cfg_.streaming.local_tokens) + 1);
+          stream_alloc_.pages_for_tokens(cfg_.streaming.local_tokens +
+                                         chunk) +
+          1);
   return {dense_slots_ * full, stream_slots_ * stream_cap};
 }
 

@@ -173,17 +173,23 @@ class Engine {
 
   /// One decode step for every sequence in `ids` (feeding `tokens[i]` to
   /// `ids[i]`), returning the next token per sequence in input order.
-  /// With a non-null `pool` the per-sequence forwards run concurrently;
-  /// results and stats are bit-identical to the serial path: each sequence
-  /// only touches its own state plus the (thread-safe) page allocators,
-  /// and per-call DecodeWorkStats scratch counters are added to the
-  /// engine's counters after the join.
+  /// The batch runs one forward over stacked rows: each layer's norm,
+  /// projections and FFN, and the readout, see the whole batch at once,
+  /// and only the KV append + paged attention run per sequence. With a
+  /// non-null `pool` the GEMMs split their output columns over it and the
+  /// per-sequence attention runs concurrently. Results and stats are
+  /// bit-identical to decoding each sequence alone at any pool size: a
+  /// row's GEMM output does not depend on the other rows or the column
+  /// split, each sequence's attention only touches its own state plus the
+  /// (thread-safe) page allocators, and per-sequence DecodeWorkStats
+  /// scratch counters are added to the engine's counters after the join.
   ///
-  /// Exception contract: if any per-sequence forward throws (page pool
-  /// exhausted at its hard cap, allocation failure), the first exception
-  /// propagates after the join and the sequences of this batch are left
-  /// mid-step — there is no way to resume a half-forwarded sequence, so
-  /// callers must treat the engine as poisoned and stop serving from it.
+  /// Exception contract: if any per-sequence append or attention throws
+  /// (page pool exhausted at its hard cap, allocation failure), the first
+  /// exception propagates after the join and the sequences of this batch
+  /// are left mid-step — there is no way to resume a half-forwarded
+  /// sequence, so callers must treat the engine as poisoned and stop
+  /// serving from it.
   std::vector<std::int32_t> decode_batch(std::span<const SequenceId> ids,
                                          std::span<const std::int32_t> tokens,
                                          ThreadPool* pool = nullptr);
@@ -237,7 +243,8 @@ class Engine {
 
   /// Worst-case pages a request totalling `total_tokens` (prompt +
   /// max_new_tokens) can occupy, given the current head partition.
-  /// Streaming heads are capped by their sink + local-window geometry.
+  /// Streaming heads are capped by their sink + local-window geometry,
+  /// widened by one prefill chunk (eviction waits for the chunk's end).
   PageDemand estimate_request_pages(std::size_t total_tokens) const noexcept;
 
   /// As above, but discounting pages a prefix-cache attach at depth
@@ -293,17 +300,6 @@ class Engine {
   /// mode, appending K/V to `seq`'s caches. `pos0` is the absolute position
   /// of row 0.
   void forward_prefill(Sequence& seq, num::Tensor& hidden, std::size_t pos0);
-  /// One transformer forward in decode mode, on the given attention
-  /// route. Work counters go to `work`, never to the engine's counters —
-  /// decode_batch adds them after the join.
-  void forward_decode(Sequence& seq, num::Tensor& hidden,
-                      AttentionRoute route, attn::DecodeWorkStats& work);
-
-  /// Decodes one token for `seq` without touching the engine's counters
-  /// (thread-safe for distinct sequences).
-  std::int32_t decode_one(Sequence& seq, std::int32_t token,
-                          attn::DecodeWorkStats& work);
-
   /// (Re)builds the prefix cache for the current head partition; any
   /// partition change invalidates every cached page set.
   void rebuild_prefix_cache();

@@ -1,12 +1,16 @@
 // Integration tests for the serving engine (src/serve/engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
 #include "serve/engine.hpp"
+#include "serve/thread_pool.hpp"
 
 namespace lserve::serve {
 namespace {
@@ -106,6 +110,144 @@ TEST(Engine, EstimateRequestPagesBoundsActualUsage) {
             engine.config().model.layers * engine.config().model.kv_heads);
   engine.release_sequence(seq);
   EXPECT_EQ(engine.total_pages_in_use(), 0u);
+}
+
+TEST(Engine, EstimateRequestPagesBoundsMidChunkStreamingPeak) {
+  // Prefill evicts a streaming head's stale pages only at the end of each
+  // layer's chunk, so mid-chunk the head holds its window plus the whole
+  // chunk. The estimate must bound that peak, not only what is left once
+  // the request settles, for monolithic and chunked prefill alike.
+  const std::size_t prompt_len = 128;
+  const std::size_t new_tokens = 4;
+  for (const std::size_t chunk : {0, 64, 16}) {
+    EngineConfig cfg = tiny_dense_config();
+    cfg.streaming_fraction = 0.5;
+    cfg.streaming = {/*sink_tokens=*/8, /*local_tokens=*/16};
+    cfg.prefill_chunk_tokens = chunk;
+    Engine engine(cfg);
+    const PageDemand est =
+        engine.estimate_request_pages(prompt_len + new_tokens);
+    const auto seq = engine.create_sequence();
+    engine.generate(seq, prompt_ids(prompt_len), new_tokens);
+    EXPECT_LE(engine.stream_allocator().occupancy().peak_in_use,
+              est.stream_pages)
+        << "prefill_chunk_tokens=" << chunk;
+    EXPECT_LE(engine.dense_allocator().occupancy().peak_in_use,
+              est.dense_pages)
+        << "prefill_chunk_tokens=" << chunk;
+    engine.release_sequence(seq);
+  }
+}
+
+TEST(Engine, DecodeBatchMatchesOneAtATimeAtAnyBatchAndPoolSize) {
+  // decode_batch runs one forward over the batch's stacked rows, splitting
+  // GEMM columns and fanning attention out over the pool. Every sequence
+  // must still decode exactly as it does alone, with the same work
+  // counters, at any batch size and pool size. Prompts differ in length so
+  // the rows of a batch sit at different positions, and the selector,
+  // streaming eviction and INT4 KV are all active.
+  EngineConfig cfg = tiny_dense_config();
+  cfg.dense_pages.dtype = num::KvDtype::kInt4;
+  cfg.dense_pages.logical_page_size = 4;
+  cfg.streaming_fraction = 0.5;
+  cfg.streaming = {/*sink_tokens=*/8, /*local_tokens=*/16};
+  cfg.dynamic_decode = true;
+  cfg.hierarchical = true;
+  cfg.selector.token_budget = 16;
+  cfg.reuse_interval = 2;
+  constexpr std::size_t kSeqs = 8;
+  constexpr std::size_t kSteps = 6;
+
+  struct Run {
+    std::vector<std::vector<std::int32_t>> tokens;
+    EngineStats stats;
+  };
+  // batch 0 = one decode(id, tok) call per sequence per step.
+  const auto run = [&](std::size_t batch, std::size_t threads) {
+    Engine engine(cfg);
+    ThreadPool pool(threads);
+    std::vector<SequenceId> ids;
+    std::vector<std::int32_t> last;
+    for (std::size_t i = 0; i < kSeqs; ++i) {
+      ids.push_back(engine.create_sequence());
+      last.push_back(engine.prefill(
+          ids.back(),
+          prompt_ids(20 + 5 * i, static_cast<std::int32_t>(i))));
+    }
+    Run r;
+    r.tokens.resize(kSeqs);
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      if (batch == 0) {
+        for (std::size_t i = 0; i < kSeqs; ++i) {
+          last[i] = engine.decode(ids[i], last[i]);
+        }
+      } else {
+        for (std::size_t b0 = 0; b0 < kSeqs; b0 += batch) {
+          const auto next = engine.decode_batch(
+              std::span<const SequenceId>(ids).subspan(b0, batch),
+              std::span<const std::int32_t>(last).subspan(b0, batch), &pool);
+          std::copy(next.begin(), next.end(), last.begin() + b0);
+        }
+      }
+      for (std::size_t i = 0; i < kSeqs; ++i) r.tokens[i].push_back(last[i]);
+    }
+    r.stats = engine.stats();
+    return r;
+  };
+
+  const Run ref = run(0, 1);
+  EXPECT_GT(ref.stats.selector_runs, 0u);
+  for (const std::size_t batch : {1, 2, 8}) {
+    for (const std::size_t threads : {1, 2, 8}) {
+      const Run got = run(batch, threads);
+      const std::string where = "batch=" + std::to_string(batch) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(got.tokens, ref.tokens) << where;
+      EXPECT_EQ(got.stats.decode_steps, ref.stats.decode_steps) << where;
+      EXPECT_EQ(got.stats.decode_dense_steps, ref.stats.decode_dense_steps)
+          << where;
+      EXPECT_EQ(got.stats.decode_sparse_steps,
+                ref.stats.decode_sparse_steps)
+          << where;
+      EXPECT_EQ(got.stats.pages_visited, ref.stats.pages_visited) << where;
+      EXPECT_EQ(got.stats.tokens_visited, ref.stats.tokens_visited) << where;
+      EXPECT_EQ(got.stats.selector_runs, ref.stats.selector_runs) << where;
+      EXPECT_EQ(got.stats.selector_reuses, ref.stats.selector_reuses)
+          << where;
+    }
+  }
+}
+
+TEST(Engine, SmallModelGenerateMatchesPinnedTokens) {
+  // A fixed-seed `small` generate with INT4 KV, streaming eviction, page
+  // pruning and chunked prefill all active. The tokens and decode work
+  // counters are pinned from the scalar matmul; any kernel behind
+  // num::matmul must reproduce them bit for bit, so a change here means
+  // some op's rounding moved.
+  EngineConfig cfg = baselines::lserve_config(model::small());
+  cfg.dense_pages.page_size = 16;
+  cfg.dense_pages.logical_page_size = 4;
+  cfg.streaming = {/*sink_tokens=*/16, /*local_tokens=*/32};
+  cfg.selector.token_budget = 64;
+  cfg.prefill_chunk_tokens = 48;
+  cfg.pool_pages = 512;
+  Engine engine(cfg);
+  std::vector<std::int32_t> prompt(128);
+  for (std::size_t i = 0; i < prompt.size(); ++i) {
+    prompt[i] = static_cast<std::int32_t>((5 + 37 * i) % 1021);
+  }
+  const auto seq = engine.create_sequence();
+  const std::vector<std::int32_t> out = engine.generate(seq, prompt, 24);
+  const std::vector<std::int32_t> pinned{
+      559, 153, 72,  406, 346, 228, 611, 322, 496, 661, 297, 706,
+      945, 35,  230, 346, 114, 107, 661, 496, 289, 690, 600, 210};
+  EXPECT_EQ(out, pinned);
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.pages_visited, 2928u);
+  EXPECT_EQ(s.tokens_visited, 40320u);
+  EXPECT_EQ(s.selector_runs, 48u);
+  EXPECT_EQ(s.selector_reuses, 136u);
+  engine.release_sequence(seq);
 }
 
 TEST(Engine, PrefillThenDecodeMatchesLongerPrefill) {

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include "numeric/math.hpp"
+#include "numeric/matmul_kernels.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/tensor.hpp"
 
@@ -113,6 +116,78 @@ TEST(Math, MatmulMatchesNaive) {
       EXPECT_NEAR(c.at(i, j), ref, 1e-4);
     }
   }
+}
+
+const detail::MatmulVariant* find_matmul_variant(std::string_view name) {
+  for (const detail::MatmulVariant& v : detail::matmul_variants()) {
+    if (name == v.name) return &v;
+  }
+  return nullptr;
+}
+
+/// Every output bit of `fn` must equal the scalar loop's, on ragged shapes
+/// that leave row blocks, column strips and vectors partly filled. A and B
+/// are column slices of wider buffers (the layout a column-split GEMM
+/// hands the kernel), and C is one too, with sentinels on both sides that
+/// must survive. Some inputs are +-0 so that signed-zero products occur.
+void expect_bit_identical_to_scalar(detail::MatmulFn fn) {
+  Rng rng(29);
+  const auto fill = [&](Tensor& t) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = i % 11 == 0 ? 0.0f
+                    : i % 13 == 0 ? -0.0f
+                                  : rng.gaussian();
+    }
+  };
+  const float sentinel = 7.0f;
+  for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 128}) {
+    for (std::size_t n : {1, 15, 16, 17, 65, 259}) {
+      for (std::size_t k : {1, 3, 512}) {
+        Tensor a_wide(m, k + 2), b_wide(k, n + 3);
+        fill(a_wide);
+        fill(b_wide);
+        const ConstMatView a = a_wide.view().cols_slice(1, k);
+        const ConstMatView b = b_wide.view().cols_slice(2, n);
+        Tensor want(m, n);
+        detail::matmul_scalar(a, b, want.view());
+        Tensor got_wide(m, n + 2, sentinel);
+        fn(a, b, got_wide.view().cols_slice(1, n));
+        for (std::size_t i = 0; i < m; ++i) {
+          const float* got = got_wide.row(i);
+          ASSERT_EQ(std::memcmp(want.row(i), got + 1, n * sizeof(float)), 0)
+              << "m=" << m << " n=" << n << " k=" << k << " row " << i;
+          ASSERT_EQ(got[0], sentinel);
+          ASSERT_EQ(got[n + 1], sentinel);
+        }
+      }
+    }
+  }
+}
+
+TEST(Matmul, Avx512BitIdenticalToScalar) {
+  const detail::MatmulVariant* v = find_matmul_variant("avx512");
+  if (v == nullptr || !v->supported) {
+    GTEST_SKIP() << "avx512 matmul not compiled or not supported here";
+  }
+  expect_bit_identical_to_scalar(v->fn);
+}
+
+TEST(Matmul, Avx2BitIdenticalToScalar) {
+  const detail::MatmulVariant* v = find_matmul_variant("avx2");
+  if (v == nullptr || !v->supported) {
+    GTEST_SKIP() << "avx2 matmul not compiled or not supported here";
+  }
+  expect_bit_identical_to_scalar(v->fn);
+}
+
+TEST(Matmul, DispatchedBitIdenticalToScalar) {
+  // num::matmul runs the first supported variant, and the scalar loop
+  // ends the list, so there is always one.
+  const auto variants = detail::matmul_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(std::string_view(variants.back().name), "scalar");
+  EXPECT_TRUE(variants.back().supported);
+  expect_bit_identical_to_scalar(&matmul);
 }
 
 TEST(Math, TopKReturnsSortedIndicesOfLargest) {
