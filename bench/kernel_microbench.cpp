@@ -285,7 +285,11 @@ BENCHMARK_CAPTURE(BM_Matmul, avx512, "avx512")
     ->Arg(4)
     ->Arg(8)
     ->Arg(128);
-BENCHMARK_CAPTURE(BM_Matmul, avx2, "avx2")->Arg(1)->Arg(4)->Arg(8)->Arg(128);
+BENCHMARK_CAPTURE(BM_Matmul, avx2, "avx2")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(128);
 BENCHMARK_CAPTURE(BM_Matmul, scalar, "scalar")
     ->Arg(1)
     ->Arg(4)
