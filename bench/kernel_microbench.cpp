@@ -157,7 +157,8 @@ void BM_DecodeInt4Table(benchmark::State& state) {
 BENCHMARK(BM_DecodeInt4Table)->Arg(4096)->Arg(8192);
 
 /// One layer of the lserve deployment (small model: 4 kv heads, half of
-/// them streaming; int4 pages of 64 tokens) holding `tokens` tokens.
+/// them streaming; int4 pages of 64 tokens) holding `tokens` tokens,
+/// appended and evicted one token at a time as decode does.
 struct LayerFixture {
   serve::EngineConfig cfg = baselines::lserve_config(model::small());
   std::size_t d = cfg.model.head_dim;
@@ -186,6 +187,7 @@ struct LayerFixture {
         rng.fill_gaussian(v, 1.0f);
         cache.append(dense, stream, 0, h, k.data(), v.data());
       }
+      cache.evict_stale(stream, 0);
     }
   }
 };
@@ -211,7 +213,8 @@ void BM_FusedDecodeLayer(benchmark::State& state) {
 BENCHMARK(BM_FusedDecodeLayer)->ArgsProduct({{4096, 8192}, {2, 4}});
 
 // One 128-row fused_chunked_prefill chunk over 2K tokens of history, as
-// the engine runs it: chunk K/V written back first, then attended.
+// the engine runs it: chunk K/V written back first, then attended. The
+// dynamic_dense arg puts the dense heads under MInference block masks.
 void BM_FusedPrefillChunk(benchmark::State& state) {
   const std::size_t history = 2048, chunk = 128;
   LayerFixture fix(history);
@@ -225,14 +228,15 @@ void BM_FusedPrefillChunk(benchmark::State& state) {
   }
   for (std::size_t t = 0; t < chunk; ++t) {
     for (std::size_t h = 0; h < fix.kv_heads; ++h) {
-      fix.cache.append_roundtrip(fix.dense, fix.stream, 0, h,
-                                 k.row(t) + h * fix.d, v.row(t) + h * fix.d);
+      fix.cache.append(fix.dense, fix.stream, 0, h, k.row(t) + h * fix.d,
+                       v.row(t) + h * fix.d);
     }
   }
   attn::FusedPrefillConfig pc;
   pc.tiling = fix.cfg.tiling;
   pc.streaming = {/*sink_blocks=*/1, /*local_blocks=*/4};
   pc.total_tokens = history + chunk;
+  pc.dynamic_dense = state.range(0) != 0;
   for (auto _ : state) {
     attn::fused_chunked_prefill(fix.dense, fix.stream, fix.cache, 0,
                                 q.view(), k.view(), v.view(), fix.d, pc,
@@ -240,7 +244,7 @@ void BM_FusedPrefillChunk(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_FusedPrefillChunk);
+BENCHMARK(BM_FusedPrefillChunk)->ArgName("dynamic_dense")->Arg(0)->Arg(1);
 
 // The seven GEMMs of one `small`-model layer (QKV, o-proj, FFN up/gate/
 // down) through one matmul variant, at m = state.range(0) rows: 1/4/8

@@ -10,19 +10,18 @@ namespace lserve::attn {
 
 void paged_attention(const kv::PageAllocator& alloc,
                      const kv::SelectedPageTable& table,
-                     std::size_t paged_tokens, const GroupRows& rows,
-                     num::ConstMatView chunk_k, num::ConstMatView chunk_v,
-                     const Visibility& vis, float scale, float* lse_out,
-                     DecodeWorkStats* stats) {
+                     const GroupRows& rows, const Visibility& vis,
+                     float scale, float* lse_out, DecodeWorkStats* stats) {
   const std::size_t d = alloc.config().head_dim;
   const std::size_t page_size = alloc.config().page_size;
   const std::size_t n = rows.q.rows;
   const std::size_t group = rows.group;
   assert(rows.q.cols == group * d && rows.out.rows == n &&
-         rows.out.cols == group * d && chunk_k.rows == chunk_v.rows);
-  assert(rows.pos0 + 1 >= paged_tokens);
+         rows.out.cols == group * d);
   const std::size_t tq = vis.tiling.tile_q;
   const std::size_t tk = vis.tiling.tile_k;
+  // The last row's causal end: no row sees a token at or past it.
+  const std::size_t causal_end = rows.pos0 + n;
 
   std::vector<num::OnlineSoftmax> acc(n * group, num::OnlineSoftmax(d));
 
@@ -55,7 +54,7 @@ void paged_attention(const kv::PageAllocator& alloc,
       const float* qi = rows.q.row(i);
       for (std::size_t g = 0; g < group; ++g) {
         if (masks != nullptr &&
-            !masks[g].kept((rows.pos0 + i - paged_tokens) / tq, j / tk)) {
+            !masks[g].kept((rows.pos0 + i - vis.chunk_begin) / tq, j / tk)) {
           continue;
         }
         acc[i * group + g].fold_one(scale * num::dot(qi + g * d, key, d),
@@ -63,6 +62,10 @@ void paged_attention(const kv::PageAllocator& alloc,
       }
     }
   };
+  const BlockMask* masks = vis.kind == Visibility::Kind::kBlockMask
+                               ? vis.masks.data()
+                               : nullptr;
+  assert(masks == nullptr || vis.masks.size() == group);
 
   std::vector<float> key(d);
   std::vector<float> value(d);
@@ -73,30 +76,26 @@ void paged_attention(const kv::PageAllocator& alloc,
     // page's own fill count is authoritative.
     const std::size_t begin =
         static_cast<std::size_t>(entry.block) * page_size;
-    std::size_t count = paged_tokens > begin ? paged_tokens - begin : 0;
+    std::size_t count = causal_end > begin ? causal_end - begin : 0;
     if (count == 0) continue;
     const kv::PagePin pin = alloc.pin(entry.page);
     const kv::Page& page = pin.page();
     count = std::min({count, page_size, page.size()});
     tokens += count;
     for (std::size_t s = 0; s < count; ++s) {
-      const std::size_t hi = rows_end(begin + s);
-      if (hi == 0) continue;
+      // Token c is causally visible from row c - pos0 on.
+      const std::size_t c = begin + s;
+      const std::size_t lo = c > rows.pos0 ? c - rows.pos0 : 0;
+      const std::size_t hi = rows_end(c);
+      if (lo >= hi) continue;
       page.load_key(s, key.data());
       page.load_value(s, value.data());
-      fold(key.data(), value.data(), 0, hi, nullptr, 0);
+      if (masks != nullptr && c >= vis.chunk_begin) {
+        fold(key.data(), value.data(), lo, hi, masks, c - vis.chunk_begin);
+      } else {
+        fold(key.data(), value.data(), lo, hi, nullptr, 0);
+      }
     }
-  }
-
-  const BlockMask* masks = vis.kind == Visibility::Kind::kBlockMask
-                               ? vis.masks.data()
-                               : nullptr;
-  assert(masks == nullptr || vis.masks.size() == group);
-  for (std::size_t j = 0; j < chunk_k.rows; ++j) {
-    const std::size_t c = paged_tokens + j;
-    if (c >= rows.pos0 + n) break;  // causally past every row
-    const std::size_t lo = c > rows.pos0 ? c - rows.pos0 : 0;
-    fold(chunk_k.row(j), chunk_v.row(j), lo, rows_end(c), masks, j);
   }
 
   num::MatView out = rows.out;
@@ -120,8 +119,7 @@ void sparse_paged_decode(const kv::PageAllocator& alloc,
                       {out, 1, head_dim, head_dim},
                       seq_tokens == 0 ? 0 : seq_tokens - 1,
                       1};
-  paged_attention(alloc, table, seq_tokens, row, {}, {}, {}, scale, lse_out,
-                  stats);
+  paged_attention(alloc, table, row, {}, scale, lse_out, stats);
 }
 
 }  // namespace lserve::attn

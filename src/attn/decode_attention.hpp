@@ -11,8 +11,9 @@
 // dequantized on load, modelling QServe-style fused dequantization. One
 // call serves every query row of a kv head's GQA group: each page is
 // pinned once and each token's K/V loaded once, then folded into every row
-// that sees it. Prefill passes a tile of chunk rows plus the chunk's own
-// K/V; decode passes the group's single-position rows.
+// that sees it. The pages are the only KV source: prefill appends a chunk
+// before attending, then passes a tile of its rows; decode passes the
+// group's single-position rows.
 #pragma once
 
 #include <cstddef>
@@ -70,24 +71,23 @@ struct Visibility {
   StreamingBlocks streaming;
   std::size_t total_tokens = 0;
   /// kBlockMask: one mask per group member over the chunk's own rows and
-  /// keys; paged tokens are always visible.
+  /// keys, both indexed from `chunk_begin`; tokens before it (the cached
+  /// history) are always visible.
   std::span<const BlockMask> masks;
+  std::size_t chunk_begin = 0;
 };
 
-/// Attention of `rows` over the first `paged_tokens` tokens listed in
-/// `table` (sorted by logical block), followed by the chunk's own K/V rows
-/// `chunk_k`/`chunk_v` at positions paged_tokens, paged_tokens + 1, ...
-/// (empty views in decode). Every row must sit at or after the last paged
-/// token. Each row folds its visible tokens in table-then-chunk order, so
-/// splitting rows across calls never changes a bit. `lse_out`, if
-/// non-null, receives one log-sum-exp per row (row-major, head-minor);
-/// `stats`, if non-null, counts visited pages and tokens once per row.
+/// Attention of `rows` over the tokens listed in `table` (sorted by
+/// logical block) that precede the last row's causal end: row i sees
+/// token c iff c <= pos0 + i and `vis` admits it. Each row folds its
+/// visible tokens in ascending position order, so splitting rows across
+/// calls never changes a bit. `lse_out`, if non-null, receives one
+/// log-sum-exp per row (row-major, head-minor); `stats`, if non-null,
+/// counts visited pages and tokens once per row.
 void paged_attention(const kv::PageAllocator& alloc,
                      const kv::SelectedPageTable& table,
-                     std::size_t paged_tokens, const GroupRows& rows,
-                     num::ConstMatView chunk_k, num::ConstMatView chunk_v,
-                     const Visibility& vis, float scale,
-                     float* lse_out = nullptr,
+                     const GroupRows& rows, const Visibility& vis,
+                     float scale, float* lse_out = nullptr,
                      DecodeWorkStats* stats = nullptr);
 
 /// Sparse decode for one head: the single-row paged_attention.

@@ -13,17 +13,18 @@ namespace lserve::attn {
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,
                            const kv::TwoWayKvCache& cache, std::size_t layer,
-                           num::ConstMatView q, num::ConstMatView k,
-                           num::ConstMatView v, std::size_t head_dim,
+                           num::ConstMatView q, num::ConstMatView /*k*/,
+                           num::ConstMatView /*v*/, std::size_t head_dim,
                            const FusedPrefillConfig& cfg, num::MatView out) {
   const std::size_t n = q.rows;
   const std::size_t q_heads = q.cols / head_dim;
   const std::size_t kv_heads = cache.kv_heads();
-  assert(k.cols == kv_heads * head_dim && q_heads % kv_heads == 0);
+  assert(q_heads % kv_heads == 0);
   const std::size_t group = q_heads / kv_heads;
   const std::size_t width = group * head_dim;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   std::vector<BlockMask> masks;
+  num::Tensor chunk_keys(cfg.dynamic_dense ? n : 0, head_dim);
 
   for (std::size_t kvh = 0; kvh < kv_heads; ++kvh) {
     const bool streaming = cache.kind(layer, kvh) == kv::HeadKind::kStreaming;
@@ -37,15 +38,12 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
     assert(appended >= n);
     const std::size_t history_tokens = appended - n;
     // The table includes the chunk's own pages (and, for streaming heads,
-    // stale locals whose eviction is deferred to end of chunk); the walk
-    // ignores entries at or past history_tokens.
-    const kv::SelectedPageTable history =
+    // stale locals whose eviction is deferred to end of chunk).
+    const kv::SelectedPageTable table =
         streaming ? cache.streaming_head(layer, kvh).index_table()
                   : kv::full_page_table(
                         cache.dense_head(layer, kvh).view(dense_alloc));
     const kv::PageAllocator& alloc = streaming ? stream_alloc : dense_alloc;
-    const num::ConstMatView kh = k.cols_slice(kvh * head_dim, head_dim);
-    const num::ConstMatView vh = v.cols_slice(kvh * head_dim, head_dim);
     const num::ConstMatView qg = q.cols_slice(kvh * width, width);
     const num::MatView og = out.cols_slice(kvh * width, width);
 
@@ -57,22 +55,29 @@ void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
       vis.total_tokens = cfg.total_tokens != 0 ? cfg.total_tokens : appended;
       assert(vis.total_tokens >= appended);
     } else if (cfg.dynamic_dense) {
+      // The mask scores the chunk's keys as stored, the bits the walk
+      // folds.
+      const kv::HeadCache& head = cache.dense_head(layer, kvh);
+      for (std::size_t t = 0; t < n; ++t) {
+        head.load_key(dense_alloc, history_tokens + t, chunk_keys.row(t));
+      }
       masks.clear();
       for (std::size_t g = 0; g < group; ++g) {
         masks.push_back(sparse::build_dynamic_prefill_mask(
-            qg.cols_slice(g * head_dim, head_dim), kh, cfg.tiling,
-            cfg.dynamic_cfg, scale));
+            qg.cols_slice(g * head_dim, head_dim), chunk_keys.view(),
+            cfg.tiling, cfg.dynamic_cfg, scale));
       }
       vis.kind = Visibility::Kind::kBlockMask;
       vis.masks = masks;
+      vis.chunk_begin = history_tokens;
     }
     // One walk per q-tile keeps the group's accumulators cache-resident.
     for (std::size_t row0 = 0; row0 < n; row0 += cfg.tiling.tile_q) {
       const std::size_t rows = std::min(cfg.tiling.tile_q, n - row0);
-      paged_attention(alloc, history, history_tokens,
+      paged_attention(alloc, table,
                       {qg.rows_slice(row0, rows), og.rows_slice(row0, rows),
                        history_tokens + row0, group},
-                      kh, vh, vis, scale);
+                      vis, scale);
     }
   }
 }
@@ -141,11 +146,11 @@ void fused_sparse_decode(const kv::PageAllocator& dense_alloc,
     // (no-op when tiering is off).
     alloc.prefetch(std::span<const kv::SelectedPage>(table));
     const std::size_t h0 = kvh * group_size;
-    paged_attention(alloc, table, seq_tokens,
+    paged_attention(alloc, table,
                     {{q_heads.row(h0), 1, width, width},
                      {out.row(h0), 1, width, width}, seq_tokens - 1,
                      group_size},
-                    {}, {}, {}, scale, nullptr, stats);
+                    {}, scale, nullptr, stats);
   }
 }
 

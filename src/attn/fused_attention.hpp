@@ -3,8 +3,8 @@
 // One call processes every query head of a layer, mixing sparsity patterns
 // per head exactly as the fused CUDA kernels do. Both stages run the one
 // paged_attention walk once per kv head, with the whole query group's
-// rows; what differs per head is only the page table and the visibility
-// rule:
+// rows, over KV read only from the pages; what differs per head is only
+// the page table and the visibility rule:
 //   prefill — dense (retrieval) heads read the full table, causally or
 //             under a dynamically-estimated chunk mask; streaming heads
 //             read the sink+local index table under the Λ band.
@@ -49,18 +49,20 @@ struct FusedDecodeConfig {
 };
 
 /// Fused CHUNKED prefill over all heads of one layer. Called AFTER the
-/// chunk's KV write-back (TwoWayKvCache::append_roundtrip, with streaming
-/// eviction deferred): per-head token counts minus the chunk length give
-/// the history extent, and the in-chunk k/v rows — already round-tripped
-/// through the cache dtype — carry exactly the bits later readers load.
-/// The chunk's queries attend to the paged history (dense heads: full
-/// page table; streaming heads: sink+local index table) plus the in-chunk
-/// causal/Λ/dynamic prefix; streaming Λ decisions are made in absolute
-/// coordinates against cfg.total_tokens. Together these make prefill
-/// invariant to the chunk/attach schedule for causal dense and streaming
-/// heads (dynamic_dense masks remain chunk-local, hence schedule-
-/// dependent). With an empty history this is the whole-prompt prefill.
-/// q: [n x q_heads*head_dim], k/v: [n x kv_heads*head_dim] for the CHUNK.
+/// chunk's KV write-back (TwoWayKvCache::append, with streaming eviction
+/// left to the caller's evict_stale() after this call): per-head token
+/// counts minus the chunk length give the history extent, and every key
+/// and value, the chunk's own included, is read back from the pages, so
+/// attention sees exactly the bits later readers load. The chunk's queries
+/// attend to the paged history (dense heads: full page table; streaming
+/// heads: sink+local index table) plus the in-chunk causal/Λ/dynamic
+/// prefix; streaming Λ decisions are made in absolute coordinates against
+/// cfg.total_tokens. Together these make prefill invariant to the
+/// chunk/attach schedule for causal dense and streaming heads
+/// (dynamic_dense masks remain chunk-local, hence schedule-dependent).
+/// With an empty history this is the whole-prompt prefill.
+/// q: [n x q_heads*head_dim] for the CHUNK; k/v (the chunk's rows as
+/// appended) are unused, since every K/V row is read from the pages.
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,
                            const kv::TwoWayKvCache& cache, std::size_t layer,

@@ -17,19 +17,6 @@ void HeadCache::append(PageAllocator& alloc, const float* key,
   ++tokens_;
 }
 
-void HeadCache::append_roundtrip(PageAllocator& alloc, float* key,
-                                 float* value) {
-  const std::size_t page_size = alloc.config().page_size;
-  if (tokens_ % page_size == 0) {
-    pages_.push_back(alloc.allocate());
-  }
-  const PageWritePin pin = alloc.pin_mut(pages_.back());
-  const std::size_t slot = pin.page().append_roundtrip(key, value);
-  assert(slot == tokens_ % page_size);
-  (void)slot;
-  ++tokens_;
-}
-
 void HeadCache::attach(std::vector<PageId> pages, std::size_t tokens) noexcept {
   assert(pages_.empty() && tokens_ == 0);
   pages_ = std::move(pages);

@@ -19,11 +19,6 @@ class HeadCache {
   /// Appends one token's key/value; allocates a new page on block boundary.
   void append(PageAllocator& alloc, const float* key, const float* value);
 
-  /// Prefill write-back: appends and loads the stored (quantized) row back
-  /// into `key`/`value` so in-chunk attention reads exactly what the cache
-  /// will serve later (see Page::append_roundtrip).
-  void append_roundtrip(PageAllocator& alloc, float* key, float* value);
-
   /// Dequantizes the key / value of absolute token `t` (0-based).
   void load_key(const PageAllocator& alloc, std::size_t t, float* out) const;
   void load_value(const PageAllocator& alloc, std::size_t t, float* out) const;

@@ -36,15 +36,6 @@ std::size_t Page::append(const float* key, const float* value) noexcept {
   return slot;
 }
 
-std::size_t Page::append_roundtrip(float* key, float* value) noexcept {
-  const std::size_t slot = append(key, value);
-  if (cfg_.dtype != num::KvDtype::kFp16) {
-    keys_.load_row(slot, key);
-    values_.load_row(slot, value);
-  }
-  return slot;
-}
-
 void Page::copy_prefix_from(const Page& src, std::size_t n) noexcept {
   assert(initialized_ && src.initialized_);
   assert(empty());

@@ -52,15 +52,6 @@ class Page {
   /// Precondition: !full().
   std::size_t append(const float* key, const float* value) noexcept;
 
-  /// Appends one token's rows and loads the *stored* representation back
-  /// into `key`/`value` — after the call they hold exactly what a later
-  /// load_key/load_value returns (the dequantized codes for int4/int8, the
-  /// unchanged floats for fp16). The prefill write-back path uses this so
-  /// attention over the chunk sees the same bits every future reader sees,
-  /// which is what makes chunked prefill schedule-invariant under
-  /// quantized KV. Returns the in-page slot.
-  std::size_t append_roundtrip(float* key, float* value) noexcept;
-
   /// Copy-on-write helper: makes this page hold the first `n` tokens of
   /// `src`, copying quantized payload + params verbatim (bit-identical, no
   /// requantization) and rebuilding K_stats over the copied slots.

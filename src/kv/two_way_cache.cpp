@@ -5,8 +5,9 @@
 
 namespace lserve::kv {
 
-PageWritePin StreamingHeadCache::append_page(PageAllocator& alloc,
-                                             const StreamingConfig& cfg) {
+void StreamingHeadCache::append(PageAllocator& alloc,
+                                const StreamingConfig& cfg, const float* key,
+                                const float* value) {
   const std::size_t page_size = alloc.config().page_size;
   const std::size_t sink_blocks = cfg.sink_blocks(page_size);
   const std::uint32_t block = static_cast<std::uint32_t>(tokens_ / page_size);
@@ -19,22 +20,10 @@ PageWritePin StreamingHeadCache::append_page(PageAllocator& alloc,
       local_pages_.push_back({block, id});
     }
   }
-  return block < sink_blocks ? alloc.pin_mut(sink_pages_[block])
-                             : alloc.pin_mut(local_pages_.back().page);
-}
-
-void StreamingHeadCache::append(PageAllocator& alloc,
-                                const StreamingConfig& cfg, const float* key,
-                                const float* value) {
-  append_page(alloc, cfg).page().append(key, value);
-  ++tokens_;
-  evict_stale(alloc, cfg);
-}
-
-void StreamingHeadCache::append_roundtrip(PageAllocator& alloc,
-                                          const StreamingConfig& cfg,
-                                          float* key, float* value) {
-  append_page(alloc, cfg).page().append_roundtrip(key, value);
+  const PageWritePin pin = block < sink_blocks
+                               ? alloc.pin_mut(sink_pages_[block])
+                               : alloc.pin_mut(local_pages_.back().page);
+  pin.page().append(key, value);
   ++tokens_;
 }
 
@@ -116,20 +105,6 @@ void TwoWayKvCache::append(PageAllocator& dense_alloc,
   }
   // Count tokens once per model step: layer 0, head 0 is appended exactly
   // once per token in every execution path.
-  if (layer == 0 && h == 0) ++tokens_seen_;
-}
-
-void TwoWayKvCache::append_roundtrip(PageAllocator& dense_alloc,
-                                     PageAllocator& stream_alloc,
-                                     std::size_t layer, std::size_t h,
-                                     float* key, float* value) {
-  const std::size_t idx = layer * kv_heads_ + h;
-  if (kinds_[idx] == HeadKind::kDense) {
-    dense_[idx].append_roundtrip(dense_alloc, key, value);
-  } else {
-    streaming_[idx].append_roundtrip(stream_alloc, streaming_cfg_, key,
-                                     value);
-  }
   if (layer == 0 && h == 0) ++tokens_seen_;
 }
 

@@ -3,12 +3,14 @@
 //
 // Dense (retrieval) heads keep every page and carry K_stats for the page
 // selector. Streaming heads keep only the sink pages and a sliding window
-// of local pages; middle pages are freed as soon as they fall fully outside
-// the Λ mask, which is what makes streaming heads "nearly free" in memory
-// and compute at long context. Their page table therefore only ever
-// contains sink & local pages, and the decode kernel consumes it through
-// the same SelectedPageTable interface as dynamically-pruned dense heads
-// (the two-level indexing unification of §3.6).
+// of local pages; middle pages that fall fully outside the Λ mask are freed
+// by the explicit evict_stale() that follows each decode step's appends and
+// each prefill chunk's attention, which is what makes streaming heads
+// "nearly free" in memory and compute at long context. Their page table
+// therefore only ever contains sink & local pages, and the decode kernel
+// consumes it through the same SelectedPageTable interface as
+// dynamically-pruned dense heads (the two-level indexing unification of
+// §3.6).
 #pragma once
 
 #include <cassert>
@@ -53,20 +55,14 @@ struct StreamingConfig {
 /// KV storage of one streaming head: sink pages plus a ring of local pages.
 class StreamingHeadCache {
  public:
+  /// Appends one token's K/V. Never evicts: stale local pages stay alive
+  /// until evict_stale(), so a prefill chunk's early rows can still attend
+  /// the pages that were inside the Λ window at the chunk boundary.
   void append(PageAllocator& alloc, const StreamingConfig& cfg,
               const float* key, const float* value);
 
-  /// Prefill write-back: appends with quantization round-trip (see
-  /// Page::append_roundtrip) and — unlike append() — does NOT evict stale
-  /// local pages. Chunked prefill appends the whole chunk before running
-  /// attention; the boundary-window pages that early chunk rows still
-  /// attend must stay alive until evict_stale() runs at end of chunk.
-  void append_roundtrip(PageAllocator& alloc, const StreamingConfig& cfg,
-                        float* key, float* value);
-
-  /// Frees local pages whose entire block now precedes the Λ window.
-  /// append() calls this eagerly; after append_roundtrip() the caller
-  /// runs it once per chunk.
+  /// Frees local pages whose entire block now precedes the Λ window. The
+  /// owner calls it after appending (and, in prefill, attending) a step.
   void evict_stale(PageAllocator& alloc, const StreamingConfig& cfg);
 
   std::size_t tokens() const noexcept { return tokens_; }
@@ -100,9 +96,6 @@ class StreamingHeadCache {
     std::uint32_t block;
     PageId page;
   };
-  /// Allocates-on-boundary and returns a write pin on the page the next
-  /// token lands in.
-  PageWritePin append_page(PageAllocator& alloc, const StreamingConfig& cfg);
   std::vector<PageId> sink_pages_;     // blocks [0, sink_blocks)
   std::deque<LocalPage> local_pages_;  // trailing window
   std::size_t tokens_ = 0;
@@ -126,23 +119,17 @@ class TwoWayKvCache {
 
   /// Appends one token's K/V for one (layer, head); `dense_alloc` and
   /// `stream_alloc` may be the same pool or distinct pools (LServe uses
-  /// distinct pools so streaming pages can skip K_stats storage).
+  /// distinct pools so streaming pages can skip K_stats storage). Never
+  /// evicts; see evict_stale().
   void append(PageAllocator& dense_alloc, PageAllocator& stream_alloc,
               std::size_t layer, std::size_t h, const float* key,
               const float* value);
 
-  /// Prefill write-back variant: round-trips the row through the cache
-  /// dtype (key/value hold the stored representation on return) and
-  /// defers streaming eviction to evict_stale(). The chunked-prefill path
-  /// appends the whole chunk, runs attention over the round-tripped rows
-  /// plus the still-alive boundary window, then evicts — the ordering
-  /// that makes prefill chunk-schedule-invariant.
-  void append_roundtrip(PageAllocator& dense_alloc,
-                        PageAllocator& stream_alloc, std::size_t layer,
-                        std::size_t h, float* key, float* value);
-
-  /// Frees stale local pages of one layer's streaming heads (the deferred
-  /// half of append_roundtrip). No-op for dense heads.
+  /// Frees stale local pages of one layer's streaming heads; no-op for
+  /// dense heads. Decode calls it after a layer's appends and before
+  /// attention. Chunked prefill calls it after attention, so the chunk's
+  /// early rows still see the boundary window; that ordering is what makes
+  /// prefill chunk-schedule-invariant.
   void evict_stale(PageAllocator& stream_alloc, std::size_t layer);
 
   /// Dense-head accessors (precondition: kind == kDense).

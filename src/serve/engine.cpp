@@ -216,16 +216,16 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
     tf_.rms_norm(hidden.view(), layer, normed.view());
     tf_.qkv_project(normed.view(), layer, pos0, q.view(), k.view(), v.view());
 
-    // KV write-back first (the paper's two quantized write-back kernels),
-    // round-tripping each row through the cache dtype: attention must see
-    // the quantized K/V or a chunk/attach boundary would change numerics
-    // (in-chunk rows raw, history rows dequantized). Streaming eviction
-    // is deferred so early chunk rows can still attend the pages that
-    // were inside the Λ window at the chunk boundary.
+    // KV write-back first (the paper's two quantized write-back kernels).
+    // Attention then reads every row, the chunk's own included, back from
+    // the pages, so it sees the stored K/V whatever the chunk/attach
+    // boundary. Streaming eviction waits until after attention so early
+    // chunk rows can still attend the pages that were inside the Λ window
+    // at the chunk boundary.
     for (std::size_t t = 0; t < n; ++t) {
       for (std::size_t kvh = 0; kvh < cfg_.model.kv_heads; ++kvh) {
-        seq.cache.append_roundtrip(dense_alloc_, stream_alloc_, layer, kvh,
-                                   k.row(t) + kvh * d, v.row(t) + kvh * d);
+        seq.cache.append(dense_alloc_, stream_alloc_, layer, kvh,
+                         k.row(t) + kvh * d, v.row(t) + kvh * d);
       }
     }
 
@@ -246,13 +246,18 @@ void Engine::forward_prefill(Sequence& seq, num::Tensor& hidden,
 std::int32_t Engine::prefill(SequenceId id,
                              std::span<const std::int32_t> ids) {
   begin_prefill(id, ids.size());
-  const std::size_t chunk = cfg_.prefill_chunk_tokens == 0
-                                ? ids.size()
-                                : cfg_.prefill_chunk_tokens;
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-    prefill_chunk(id, ids.subspan(begin, std::min(chunk, ids.size() - begin)));
+  for (std::size_t begin = 0; begin < ids.size();) {
+    const std::size_t len = prefill_chunk_len(ids.size() - begin);
+    prefill_chunk(id, ids.subspan(begin, len));
+    begin += len;
   }
   return finish_prefill(id);
+}
+
+std::size_t Engine::prefill_chunk_len(std::size_t remaining) const noexcept {
+  return cfg_.prefill_chunk_tokens == 0
+             ? remaining
+             : std::min(cfg_.prefill_chunk_tokens, remaining);
 }
 
 void Engine::begin_prefill(SequenceId id, std::size_t total_tokens) {
@@ -352,6 +357,7 @@ std::vector<std::int32_t> Engine::decode_batch(
         seq.cache.append(dense_alloc_, stream_alloc_, layer, kvh,
                          k.row(i) + kvh * d, v.row(i) + kvh * d);
       }
+      seq.cache.evict_stale(stream_alloc_, layer);
       // Reinterpret the packed q row as [q_heads x d].
       const num::ConstMatView q_heads{q.row(i), cfg_.model.q_heads, d, d};
       num::MatView out_heads{attn_out.row(i), cfg_.model.q_heads, d, d};
@@ -431,9 +437,7 @@ PageDemand Engine::estimate_request_pages(
   // mid-chunk the ring spans the window plus the whole chunk — the whole
   // prompt when prefill is monolithic — rounded up to pages, plus the page
   // being filled.
-  const std::size_t chunk = cfg_.prefill_chunk_tokens == 0
-                                ? total_tokens
-                                : cfg_.prefill_chunk_tokens;
+  const std::size_t chunk = prefill_chunk_len(total_tokens);
   const std::size_t stream_cap = std::min(
       stream_alloc_.pages_for_tokens(total_tokens),
       cfg_.streaming.sink_blocks(stream_alloc_.config().page_size) +

@@ -147,6 +147,11 @@ class Engine {
   /// by cfg.prefill_chunk_tokens (0 = monolithic).
   std::int32_t prefill(SequenceId id, std::span<const std::int32_t> ids);
 
+  /// Tokens the next prefill chunk takes when `remaining` are still owed:
+  /// cfg.prefill_chunk_tokens, or all of them when it is 0 (the one chunk
+  /// rule for prefill(), the scheduler and estimate_request_pages()).
+  std::size_t prefill_chunk_len(std::size_t remaining) const noexcept;
+
   /// Resumable incremental prefill, driven chunk-by-chunk by the scheduler
   /// so one long prompt never monopolizes an iteration:
   ///
@@ -154,9 +159,11 @@ class Engine {
   ///   while (prefill_chunk(id, next_ids) > 0) { ... other work ... }
   ///   first_token = finish_prefill(id);  // kPrefilling -> kDecoding
   ///
-  /// Chunks run through the same fused_chunked_prefill path as prefill()
-  /// (each chunk attends to the already-cached history), so any chunking
-  /// schedule is bit-identical to a monolithic prefill.
+  /// Chunks run through the same fused_chunked_prefill path as prefill():
+  /// each chunk is appended to the pages first, then attends through them
+  /// to the cached history and to itself, so any chunking schedule is
+  /// bit-identical to a monolithic prefill (except under dynamic_prefill,
+  /// whose masks are chunk-local).
   void begin_prefill(SequenceId id, std::size_t total_tokens);
 
   /// Feeds the next chunk of prompt tokens; returns tokens still owed.

@@ -502,12 +502,10 @@ void Scheduler::advance_prefill() {
 
   obs::StepTraceBuilder::Span span = step_trace_.span("prefill_chunk");
   const std::vector<std::int32_t>& feed = target->pend.feed();
-  const std::size_t chunk = engine_.config().prefill_chunk_tokens;
   // The sequence position is the prefill cursor into feed(): an attached
   // prefix starts it past the cached tokens, each chunk advances it.
   const std::size_t pos = engine_.sequence(target->seq).position;
-  const std::size_t remaining = feed.size() - pos;
-  const std::size_t count = chunk == 0 ? remaining : std::min(chunk, remaining);
+  const std::size_t count = engine_.prefill_chunk_len(feed.size() - pos);
   const std::size_t left = engine_.prefill_chunk(
       target->seq, std::span<const std::int32_t>(feed.data() + pos, count));
   counters_->prefill_chunks.inc();

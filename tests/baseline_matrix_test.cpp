@@ -5,9 +5,12 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
+#include "costmodel/pipeline_cost.hpp"
+#include "serve/attention_policy.hpp"
 #include "serve/engine.hpp"
 
 namespace lserve {
@@ -116,7 +119,7 @@ TEST(BaselineMatrix, SameSubstrateSameWeights) {
   // All presets share the transformer: vLLM and Quest both run fp16 dense
   // causal prefill (Quest differs only in decode-time page pruning), so
   // the first generated token must agree bit for bit. QServe is excluded
-  // on purpose: prefill attention reads the round-tripped quantized KV
+  // on purpose: prefill attention reads its KV back from the int4 pages
   // (what any later reader loads), so int4 presets feel quantization
   // already at prefill and need not match fp16 token-for-token.
   const model::ModelConfig m = model::tiny();
@@ -129,6 +132,41 @@ TEST(BaselineMatrix, SameSubstrateSameWeights) {
   const auto sa = a.create_sequence();
   const auto sb = b.create_sequence();
   EXPECT_EQ(a.prefill(sa, ids), b.prefill(sb, ids));
+}
+
+// Each system is described twice: as an engine preset (baselines::) and
+// as a cost-model policy (cost::) for the paper-table benches. The fields
+// both describe must agree, or the benches model a different system than
+// the engine serves.
+TEST(BaselineMatrix, EnginePresetsMatchCostPolicies) {
+  const model::ModelConfig m = model::llama3_8b();
+  const std::map<std::string,
+                 std::pair<serve::EngineConfig, cost::ServingPolicy>>
+      systems{
+          {"lserve", {baselines::lserve_config(m), cost::lserve_policy()}},
+          {"vllm", {baselines::vllm_config(m), cost::vllm_policy()}},
+          {"qserve", {baselines::qserve_config(m), cost::qserve_policy()}},
+          {"duo",
+           {baselines::duo_attention_config(m),
+            cost::duo_attention_policy()}},
+          {"quest", {baselines::quest_config(m), cost::quest_policy()}},
+          {"minference",
+           {baselines::minference_config(m), cost::minference_policy()}},
+      };
+  for (const auto& [name, pair] : systems) {
+    const cost::ServingPolicy got = serve::cost_policy_from(pair.first);
+    const cost::ServingPolicy& want = pair.second;
+    EXPECT_EQ(got.kv_dtype, want.kv_dtype) << name;
+    EXPECT_EQ(got.page_size, want.page_size) << name;
+    EXPECT_EQ(got.logical_page_size, want.logical_page_size) << name;
+    EXPECT_EQ(got.streaming_fraction, want.streaming_fraction) << name;
+    EXPECT_EQ(got.sink_tokens, want.sink_tokens) << name;
+    EXPECT_EQ(got.local_tokens, want.local_tokens) << name;
+    EXPECT_EQ(got.dynamic_decode, want.dynamic_decode) << name;
+    EXPECT_EQ(got.token_budget, want.token_budget) << name;
+    EXPECT_EQ(got.reuse_interval, want.reuse_interval) << name;
+    EXPECT_EQ(got.dynamic_prefill, want.dynamic_prefill) << name;
+  }
 }
 
 }  // namespace

@@ -23,16 +23,15 @@ void fill_gaussian(num::Rng& rng, std::initializer_list<num::Tensor*> ts) {
 }
 
 /// Prefills one layer through fused_chunked_prefill in the given chunk
-/// lengths, as the engine does: each chunk's K/V is written back first
-/// (round-tripped in place, so `k`/`v` end up holding the cached bits),
+/// lengths, as the engine does: each chunk's K/V is written back first,
 /// then attended, then stale streaming pages are evicted. q: [n x
 /// q_heads*d], k/v: [n x kinds.size()*d]; returns [n x q_heads*d].
 num::Tensor prefill_in_chunks(const kv::PageConfig& pages,
                               const std::vector<kv::HeadKind>& kinds,
                               kv::StreamingConfig streaming,
                               const attn::FusedPrefillConfig& cfg,
-                              const num::Tensor& q, num::Tensor& k,
-                              num::Tensor& v,
+                              const num::Tensor& q, const num::Tensor& k,
+                              const num::Tensor& v,
                               const std::vector<std::size_t>& chunks) {
   const std::size_t d = pages.head_dim;
   kv::PageAllocator dense_alloc(pages, 64);
@@ -43,8 +42,8 @@ num::Tensor prefill_in_chunks(const kv::PageConfig& pages,
   for (const std::size_t len : chunks) {
     for (std::size_t t = begin; t < begin + len; ++t) {
       for (std::size_t h = 0; h < kinds.size(); ++h) {
-        cache.append_roundtrip(dense_alloc, stream_alloc, 0, h,
-                               k.row(t) + h * d, v.row(t) + h * d);
+        cache.append(dense_alloc, stream_alloc, 0, h, k.row(t) + h * d,
+                     v.row(t) + h * d);
       }
     }
     attn::fused_chunked_prefill(
@@ -214,6 +213,30 @@ TEST(EngineChunking, StreamingHeadsCoveringConfigStillMatches) {
   const auto sm = mono.create_sequence();
   const auto ss = sparse.create_sequence();
   EXPECT_EQ(mono.generate(sm, ids, 6), sparse.generate(ss, ids, 6));
+}
+
+// MInference's dynamic prefill mask is chunk-local: each chunk's masks
+// index its own rows and keys from the chunk start. 40-token chunks over
+// 16x8 tiles start mid-tile (40, 80, 120), so absolute and chunk-local
+// tile indices differ, and int4 pages make the mask score the stored
+// keys. Pinned from a known-good build.
+TEST(EngineChunking, DynamicPrefillUnalignedChunksMatchPinnedTokens) {
+  serve::EngineConfig cfg = baselines::minference_config(model::small());
+  cfg.dense_pages.dtype = num::KvDtype::kInt4;
+  cfg.tiling = {/*tile_q=*/16, /*tile_k=*/8};
+  cfg.prefill_chunk_tokens = 40;
+  cfg.pool_pages = 512;
+  serve::Engine engine(cfg);
+  std::vector<std::int32_t> prompt(128);
+  for (std::size_t i = 0; i < prompt.size(); ++i) {
+    prompt[i] = static_cast<std::int32_t>((11 + 29 * i) % 1021);
+  }
+  const auto seq = engine.create_sequence();
+  const std::vector<std::int32_t> pinned{609, 314, 703, 186, 271, 196,
+                                         272, 369, 41,  272, 688, 1006,
+                                         112, 861, 138, 186};
+  EXPECT_EQ(engine.generate(seq, prompt, 16), pinned);
+  engine.release_sequence(seq);
 }
 
 TEST(EngineChunking, ChunkedLServeWithRealSparsityIsWellFormed) {

@@ -233,6 +233,7 @@ TEST(FusedDecode, StreamingHeadUsesSinkLocalTable) {
     rng.fill_gaussian(k, 1.0f);
     rng.fill_gaussian(v, 1.0f);
     cache.append(dense_alloc, stream_alloc, 0, 0, k.data(), v.data());
+    cache.evict_stale(stream_alloc, 0);
     keys.push_back(k);
     values.push_back(v);
   }

@@ -89,8 +89,10 @@ TEST(StreamingCacheFuzz, WindowInvariantUnderRandomLengths) {
     kv::StreamingHeadCache head;
     const std::size_t n = 50 + rng.next_below(500);
     std::vector<float> k(4, 1.0f), v(4, 2.0f);
-    for (std::size_t t = 0; t < n; ++t) head.append(alloc, sc, k.data(),
-                                                    v.data());
+    for (std::size_t t = 0; t < n; ++t) {
+      head.append(alloc, sc, k.data(), v.data());
+      head.evict_stale(alloc, sc);
+    }
     // Invariant: retained blocks = sink blocks + enough trailing blocks to
     // cover the local window, and nothing else.
     const auto table = head.index_table();

@@ -34,6 +34,7 @@ void append_n(StreamingHeadCache& head, PageAllocator& alloc,
   std::vector<float> k(8, 1.0f), v(8, 2.0f);
   for (std::size_t t = 0; t < n; ++t) {
     head.append(alloc, cfg, k.data(), v.data());
+    head.evict_stale(alloc, cfg);
   }
 }
 
@@ -117,6 +118,7 @@ TEST(TwoWayKvCache, RoutesAppendsByHeadKind) {
   for (std::size_t t = 0; t < 64; ++t) {
     cache.append(dense_alloc, stream_alloc, 0, 0, k.data(), v.data());
     cache.append(dense_alloc, stream_alloc, 0, 1, k.data(), v.data());
+    cache.evict_stale(stream_alloc, 0);
   }
   EXPECT_EQ(cache.tokens(), 64u);
   EXPECT_EQ(cache.dense_head(0, 0).tokens(), 64u);
